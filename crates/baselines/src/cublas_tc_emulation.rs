@@ -67,16 +67,14 @@ impl GemmBaseline for CublasTcEmulation {
         let mut d: Option<Matrix<f32>> = None;
         for &(a_lo, b_lo) in EmulationScheme::EgemmTc.terms() {
             // Present the selected planes as a TcHalf-scheme operand pair:
-            // the single-term kernel reads only the hi plane, so stuff the
-            // chosen plane into a fresh SplitMatrix's hi slot by splitting
-            // the widened plane values (exact: they are binary16 already).
+            // the single-term kernel reads only the hi plane of its
+            // round-split, which reproduces the widened plane values
+            // exactly (they are binary16 already).
             let ap = plane_matrix(&sa, a_lo);
             let bp = plane_matrix(&sb, b_lo);
-            let pa = SplitMatrix::split(&ap, SplitScheme::Round);
-            let pb = SplitMatrix::split(&bp, SplitScheme::Round);
             let out = emulated_gemm_tk(
-                &pa,
-                &pb,
+                &ap,
+                &bp,
                 d.as_ref(),
                 EmulationScheme::TcHalf,
                 TilingConfig::TC.k,

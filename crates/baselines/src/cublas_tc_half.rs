@@ -8,7 +8,7 @@
 //! (a quarter of the emulation's Tensor Core work).
 
 use crate::GemmBaseline;
-use egemm::{build_kernel, emulated_gemm, EmulationScheme, KernelOpts, SplitMatrix, TilingConfig};
+use egemm::{build_kernel, emulated_gemm, EmulationScheme, KernelOpts, TilingConfig};
 use egemm_matrix::{GemmShape, Matrix};
 use egemm_tcsim::{kernel_time, DeviceSpec, KernelTiming};
 
@@ -35,10 +35,7 @@ impl GemmBaseline for CublasTcHalf {
     }
 
     fn compute(&self, a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
-        let scheme = EmulationScheme::TcHalf;
-        let sa = SplitMatrix::split(a, scheme.split_scheme());
-        let sb = SplitMatrix::split(b, scheme.split_scheme());
-        emulated_gemm(&sa, &sb, None, scheme)
+        emulated_gemm(a, b, None, EmulationScheme::TcHalf)
     }
 
     fn time(&self, spec: &DeviceSpec, shape: GemmShape) -> KernelTiming {

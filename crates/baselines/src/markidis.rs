@@ -18,7 +18,7 @@
 //!   comes from).
 
 use crate::GemmBaseline;
-use egemm::{emulated_gemm_tk, wave_reuse_ab_bytes, EmulationScheme, SplitMatrix, TilingConfig};
+use egemm::{emulated_gemm_tk, wave_reuse_ab_bytes, EmulationScheme, TilingConfig};
 use egemm_matrix::{GemmShape, Matrix};
 use egemm_tcsim::{
     kernel_time, BlockResources, DepRef, DeviceSpec, KernelDesc, KernelTiming, LoopBody, Op,
@@ -58,10 +58,7 @@ impl GemmBaseline for Markidis {
     }
 
     fn compute(&self, a: &Matrix<f32>, b: &Matrix<f32>) -> Matrix<f32> {
-        let scheme = EmulationScheme::Markidis;
-        let sa = SplitMatrix::split(a, scheme.split_scheme());
-        let sb = SplitMatrix::split(b, scheme.split_scheme());
-        emulated_gemm_tk(&sa, &sb, None, scheme, Self::WMMA_TK)
+        emulated_gemm_tk(a, b, None, EmulationScheme::Markidis, Self::WMMA_TK)
     }
 
     fn time(&self, spec: &DeviceSpec, shape: GemmShape) -> KernelTiming {
@@ -178,10 +175,8 @@ mod tests {
     fn wmma_grouping_changes_low_bits() {
         let a = Matrix::<f32>::random_uniform(32, 32, 13);
         let b = Matrix::<f32>::random_uniform(32, 32, 14);
-        let sa = SplitMatrix::split(&a, egemm_fp::SplitScheme::Truncate);
-        let sb = SplitMatrix::split(&b, egemm_fp::SplitScheme::Truncate);
-        let tk8 = emulated_gemm_tk(&sa, &sb, None, EmulationScheme::Markidis, 8);
-        let tk16 = emulated_gemm_tk(&sa, &sb, None, EmulationScheme::Markidis, 16);
+        let tk8 = emulated_gemm_tk(&a, &b, None, EmulationScheme::Markidis, 8);
+        let tk16 = emulated_gemm_tk(&a, &b, None, EmulationScheme::Markidis, 16);
         assert_ne!(tk8, tk16, "different accumulation grouping must show");
     }
 }

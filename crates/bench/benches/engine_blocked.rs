@@ -1,10 +1,14 @@
 //! Criterion bench: the blocked pack-and-tile execution engine against
 //! the naive row-streaming executor it replaced, at sizes small enough
 //! for a Criterion loop (the full Figure 8/9 shapes live in the
-//! `engine_bench` binary, which emits `BENCH_engine.json`).
+//! `engine_bench` binary, which emits `BENCH_engine.json`). The naive
+//! executor reads operands split ahead of time; the engine takes them
+//! raw and splits inside its panel pack, so its time includes the
+//! split.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use egemm::{gemm_blocked, EmulationScheme, EngineConfig, SplitMatrix};
+use egemm::engine::{self, Plan};
+use egemm::{EmulationScheme, EngineRuntime, SplitMatrix};
 use egemm_bench::row_streaming_gemm;
 use egemm_matrix::{GemmShape, Matrix};
 use std::hint::black_box;
@@ -27,16 +31,11 @@ fn bench(c: &mut Criterion) {
             bench.iter(|| black_box(row_streaming_gemm(&sa, &sb, scheme, TK)));
         });
         g.bench_function(BenchmarkId::new("blocked", label), |bench| {
-            bench.iter(|| {
-                black_box(gemm_blocked(
-                    &sa,
-                    &sb,
-                    None,
-                    scheme,
-                    TK,
-                    EngineConfig::default(),
-                ))
-            });
+            let plan = Plan {
+                tk: TK,
+                ..Plan::new(&a, &b, scheme)
+            };
+            bench.iter(|| black_box(engine::gemm(EngineRuntime::global(), &plan)));
         });
     }
     g.finish();

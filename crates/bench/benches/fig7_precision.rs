@@ -2,7 +2,7 @@
 //! GEMM plus error measurement, per scheme, at a bench-friendly size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use egemm::{emulated_gemm, EmulationScheme, SplitMatrix};
+use egemm::{emulated_gemm, EmulationScheme};
 use egemm_matrix::Matrix;
 use std::hint::black_box;
 
@@ -17,10 +17,8 @@ fn bench(c: &mut Criterion) {
             EmulationScheme::Markidis,
             EmulationScheme::TcHalf,
         ] {
-            let sa = SplitMatrix::split(&a, scheme.split_scheme());
-            let sb = SplitMatrix::split(&b, scheme.split_scheme());
             g.bench_with_input(BenchmarkId::new(scheme.label(), n), &n, |bench, _| {
-                bench.iter(|| black_box(emulated_gemm(&sa, &sb, None, scheme)));
+                bench.iter(|| black_box(emulated_gemm(&a, &b, None, scheme)));
             });
         }
     }

@@ -15,10 +15,10 @@
 //! has at least 2 cores (bit-identity across pool sizes is asserted
 //! either way).
 
+use egemm::engine::{self, Plan};
 use egemm::{
-    gemm_blocked, gemm_blocked_fused_in, gemm_blocked_in, gemm_blocked_prepared, prepare_b,
-    telemetry, Egemm, EmulationScheme, EngineConfig, EngineRuntime, GemmReport, RuntimeConfig,
-    SplitMatrix, TilingConfig,
+    prepare_b_fused, telemetry, Egemm, EmulationScheme, EngineConfig, EngineRuntime, GemmReport,
+    RuntimeConfig, SplitMatrix, TilingConfig,
 };
 use egemm_bench::row_streaming_gemm;
 use egemm_fp::{simd_split_available, SplitKernel};
@@ -51,6 +51,24 @@ fn time_reps<T, F: FnMut() -> T>(mut f: F, reps: usize) -> (f64, T) {
     (median(times), last.unwrap())
 }
 
+/// One engine call on raw operands at the HMMA.1688 chunk depth.
+fn run(
+    rt: &EngineRuntime,
+    a: &Matrix<f32>,
+    b: &Matrix<f32>,
+    scheme: EmulationScheme,
+    cfg: EngineConfig,
+) -> Matrix<f32> {
+    engine::gemm(
+        rt,
+        &Plan {
+            tk: TK,
+            cfg,
+            ..Plan::new(a, b, scheme)
+        },
+    )
+}
+
 fn assert_bits_equal(label: &str, got: &Matrix<f32>, want: &Matrix<f32>) {
     for (i, (x, y)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
         assert_eq!(
@@ -79,8 +97,11 @@ fn bench_shape(label: &'static str, shape: GemmShape, reps: usize) -> Row {
     let sb = SplitMatrix::split(&b, scheme.split_scheme());
     let cfg = EngineConfig::default();
 
+    // The naive executor reads pre-split planes; the engine splits
+    // inside its panel pack, so its time includes the split.
     let (t_naive, d_naive) = time_reps(|| row_streaming_gemm(&sa, &sb, scheme, TK), reps);
-    let (t_blocked, d_blocked) = time_reps(|| gemm_blocked(&sa, &sb, None, scheme, TK, cfg), reps);
+    let rt = EngineRuntime::global();
+    let (t_blocked, d_blocked) = time_reps(|| run(rt, &a, &b, scheme, cfg), reps);
     assert_bits_equal(label, &d_blocked, &d_naive);
     let gf = |t: f64| shape.flops() as f64 / t / 1e9;
     Row {
@@ -95,8 +116,8 @@ fn bench_shape(label: &'static str, shape: GemmShape, reps: usize) -> Row {
 /// Warm-cache repeated GEMM with a shared B operand (the serving
 /// pattern: one long-lived weight matrix, fresh activations per call).
 ///
-/// * **cold** — the pre-runtime path: scalar split of both operands plus
-///   per-tile packing, every call.
+/// * **cold** — no operand cache and the scalar split kernel: both
+///   operands are split and packed per panel, every call.
 /// * **cold_simd** — same per-call work but with the SIMD split kernel
 ///   (isolates how much of the win remains after the split is fast).
 /// * **warm** — the full `Egemm` API against a populated cache: both
@@ -113,41 +134,28 @@ struct RepeatSharedB {
 
 fn bench_repeat_shared_b(shape: GemmShape, reps: usize, assert_perf: bool) -> RepeatSharedB {
     let scheme = EmulationScheme::EgemmTc;
-    let split_scheme = scheme.split_scheme();
     let a = Matrix::<f32>::random_uniform(shape.m, shape.k, 11);
     let b = Matrix::<f32>::random_uniform(shape.k, shape.n, 12);
     let cfg = EngineConfig::default();
 
-    // Reference + cold timing: uncached scalar splits, per-tile packs.
-    let cold_rt = EngineRuntime::new(RuntimeConfig {
-        cache_bytes: 0,
-        split_kernel: SplitKernel::Scalar,
-        ..RuntimeConfig::from_env()
-    });
-    let (t_cold, d_cold) = time_reps(
-        || {
-            let sa = SplitMatrix::split_with(&a, split_scheme, SplitKernel::Scalar);
-            let sb = SplitMatrix::split_with(&b, split_scheme, SplitKernel::Scalar);
-            gemm_blocked_in(&cold_rt, &sa, &sb, None, scheme, TK, cfg)
-        },
-        reps,
-    );
+    // Reference + cold timing: uncached scalar splits, per-panel packs.
+    let cold_runtime = |split_kernel| {
+        EngineRuntime::new(RuntimeConfig {
+            cache_bytes: 0,
+            split_kernel,
+            ..RuntimeConfig::from_env()
+        })
+    };
+    let cold_rt = cold_runtime(SplitKernel::Scalar);
+    let (t_cold, d_cold) = time_reps(|| run(&cold_rt, &a, &b, scheme, cfg), reps);
 
     // Cold with the SIMD split: same per-call work, faster split phase.
-    let (t_cold_simd, d_cold_simd) = time_reps(
-        || {
-            let sa = SplitMatrix::split_with(&a, split_scheme, SplitKernel::Auto);
-            let sb = SplitMatrix::split_with(&b, split_scheme, SplitKernel::Auto);
-            gemm_blocked_in(&cold_rt, &sa, &sb, None, scheme, TK, cfg)
-        },
-        reps,
-    );
+    let cold_simd_rt = cold_runtime(SplitKernel::Auto);
+    let (t_cold_simd, d_cold_simd) = time_reps(|| run(&cold_simd_rt, &a, &b, scheme, cfg), reps);
 
     // Warm: the public API on a caching runtime. The first call misses
-    // and populates; the timed calls hit on both operands. The 4096^2
-    // shared-B split + pack working set (~340 MB) exceeds the 256 MiB
-    // default bound, so size the cache to the workload as a serving
-    // config would.
+    // and populates; the timed calls hit B's packed panels. The cache is
+    // sized to the workload as a serving config would.
     let warm_rt = EngineRuntime::new(RuntimeConfig {
         cache_bytes: 1 << 30,
         ..RuntimeConfig::from_env()
@@ -157,9 +165,15 @@ fn bench_repeat_shared_b(shape: GemmShape, reps: usize, assert_perf: bool) -> Re
     let (t_warm, d_warm) = time_reps(|| eg.gemm(&a, &b).d, reps);
 
     // And the zero-lookup prepared-handle path.
-    let pb = prepare_b(&warm_rt, &b, split_scheme, TK, cfg);
-    let sa_warm = SplitMatrix::split_with(&a, split_scheme, SplitKernel::Auto);
-    let d_prepared = gemm_blocked_prepared(&warm_rt, &sa_warm, &pb, None, scheme, TK, cfg);
+    let pb = prepare_b_fused(&warm_rt, &b, scheme.split_scheme(), TK, cfg);
+    let d_prepared = engine::gemm(
+        &warm_rt,
+        &Plan {
+            tk: TK,
+            cfg,
+            ..Plan::new(&a, &pb, scheme)
+        },
+    );
 
     // Bitwise identity across every path before any timing claim.
     assert_bits_equal("repeat_shared_b cold_simd", &d_cold_simd, &d_cold);
@@ -188,82 +202,6 @@ fn bench_repeat_shared_b(shape: GemmShape, reps: usize, assert_perf: bool) -> Re
             "warm-cache path must be >= 2x cold: warm {:.2} vs cold {:.2} GF/s",
             out.warm_gflops,
             out.cold_gflops
-        );
-    }
-    out
-}
-
-/// Cold-call comparison of the two split-and-pack routes, both with the
-/// SIMD split kernel and no cache retention (every call does the full
-/// prepare work):
-///
-/// * **staged** — the reference route the `EngineConfig::staged` knob
-///   restores: materialize both operands' `SplitMatrix` planes, then
-///   pack per tile from the staged planes.
-/// * **fused** — split straight from the raw f32 operands into the
-///   microkernel's packed slivers; no intermediate planes are written
-///   or re-read.
-///
-/// Bit-identity is asserted before any timing claim; the speedup is the
-/// tentpole number for the fused pipeline.
-struct FusedCold {
-    shape: GemmShape,
-    threads: usize,
-    staged_gflops: f64,
-    fused_gflops: f64,
-    /// Split-plane bytes the fused route avoided, per call.
-    bytes_staging_saved_per_call: u64,
-}
-
-fn bench_fused_cold(shape: GemmShape, reps: usize, assert_perf: bool) -> FusedCold {
-    let scheme = EmulationScheme::EgemmTc;
-    let split_scheme = scheme.split_scheme();
-    let a = Matrix::<f32>::random_uniform(shape.m, shape.k, 31);
-    let b = Matrix::<f32>::random_uniform(shape.k, shape.n, 32);
-    let cfg = EngineConfig::default();
-    let rt = EngineRuntime::new(RuntimeConfig {
-        cache_bytes: 0,
-        ..RuntimeConfig::from_env()
-    });
-
-    // Bitwise identity first, outside any timed region.
-    let staged_once = {
-        let sa = SplitMatrix::split_with(&a, split_scheme, SplitKernel::Auto);
-        let sb = SplitMatrix::split_with(&b, split_scheme, SplitKernel::Auto);
-        gemm_blocked_in(&rt, &sa, &sb, None, scheme, TK, cfg)
-    };
-    let saved_before = rt.cache_stats().bytes_staging_saved;
-    let fused_once = gemm_blocked_fused_in(&rt, &a, &b, None, scheme, TK, cfg);
-    let saved_per_call = rt.cache_stats().bytes_staging_saved - saved_before;
-    assert_bits_equal("fused_cold", &fused_once, &staged_once);
-
-    let (t_staged, _) = time_reps(
-        || {
-            let sa = SplitMatrix::split_with(&a, split_scheme, SplitKernel::Auto);
-            let sb = SplitMatrix::split_with(&b, split_scheme, SplitKernel::Auto);
-            gemm_blocked_in(&rt, &sa, &sb, None, scheme, TK, cfg)
-        },
-        reps,
-    );
-    let (t_fused, _) = time_reps(
-        || gemm_blocked_fused_in(&rt, &a, &b, None, scheme, TK, cfg),
-        reps,
-    );
-
-    let gf = |t: f64| shape.flops() as f64 / t / 1e9;
-    let out = FusedCold {
-        shape,
-        threads: rt.default_threads(),
-        staged_gflops: gf(t_staged),
-        fused_gflops: gf(t_fused),
-        bytes_staging_saved_per_call: saved_per_call,
-    };
-    if assert_perf {
-        assert!(
-            out.fused_gflops >= 1.3 * out.staged_gflops,
-            "fused cold path must be >= 1.3x staged: fused {:.2} vs staged {:.2} GF/s",
-            out.fused_gflops,
-            out.staged_gflops
         );
     }
     out
@@ -317,7 +255,7 @@ fn bench_split_simd(rows: usize, cols: usize, reps: usize, assert_perf: bool) ->
 }
 
 /// Interpreted vs JIT-compiled microkernel, per emulation scheme: the
-/// same split operands executed with `EngineConfig::jit` off (the
+/// same operands executed with `EngineConfig::jit` off (the
 /// term-plane interpreter) and on (shape-specialized compiled
 /// kernels). Bit-identity is asserted before any timing claim, and the
 /// first JIT call — which pays every compilation — runs outside the
@@ -351,8 +289,6 @@ fn bench_jit_kernel(
         .map(|&(scheme_label, scheme)| {
             let a = Matrix::<f32>::random_uniform(shape.m, shape.k, 51);
             let b = Matrix::<f32>::random_uniform(shape.k, shape.n, 52);
-            let sa = SplitMatrix::split(&a, scheme.split_scheme());
-            let sb = SplitMatrix::split(&b, scheme.split_scheme());
             let base = EngineConfig::default();
             let interp_cfg = EngineConfig { jit: false, ..base };
             let jit_cfg = EngineConfig { jit: true, ..base };
@@ -363,22 +299,16 @@ fn bench_jit_kernel(
 
             // Bit-identity first; the JIT call here also pays every
             // compilation for this shape class.
-            let d_interp = gemm_blocked_in(&rt, &sa, &sb, None, scheme, TK, interp_cfg);
-            let d_jit = gemm_blocked_in(&rt, &sa, &sb, None, scheme, TK, jit_cfg);
+            let d_interp = run(&rt, &a, &b, scheme, interp_cfg);
+            let d_jit = run(&rt, &a, &b, scheme, jit_cfg);
             assert_bits_equal(
                 &format!("jit_kernel {scheme_label} {shape_label}"),
                 &d_jit,
                 &d_interp,
             );
 
-            let (t_interp, _) = time_reps(
-                || gemm_blocked_in(&rt, &sa, &sb, None, scheme, TK, interp_cfg),
-                reps,
-            );
-            let (t_jit, _) = time_reps(
-                || gemm_blocked_in(&rt, &sa, &sb, None, scheme, TK, jit_cfg),
-                reps,
-            );
+            let (t_interp, _) = time_reps(|| run(&rt, &a, &b, scheme, interp_cfg), reps);
+            let (t_jit, _) = time_reps(|| run(&rt, &a, &b, scheme, jit_cfg), reps);
             let stats = rt.cache_stats();
             if egemm::jit_available() {
                 assert!(
@@ -456,8 +386,8 @@ struct SweepPoint {
     panel_reuse_hits: u64,
 }
 
-/// Worker-count sweep over one shape: same operands, same split planes,
-/// only `EngineConfig::threads` varies. Every pool size is bit-checked
+/// Worker-count sweep over one shape: same operands, only
+/// `EngineConfig::threads` varies. Every pool size is bit-checked
 /// against the 1-worker output before timing — the scheduler moves
 /// tiles between workers but must never change what any tile computes.
 /// Scheduler counters (steals, panel-store reuse) and the telemetry
@@ -467,8 +397,6 @@ fn bench_thread_sweep(shape: GemmShape, reps: usize, workers: &[usize]) -> Vec<S
     let scheme = EmulationScheme::EgemmTc;
     let a = Matrix::<f32>::random_uniform(shape.m, shape.k, 41);
     let b = Matrix::<f32>::random_uniform(shape.k, shape.n, 42);
-    let sa = SplitMatrix::split(&a, scheme.split_scheme());
-    let sb = SplitMatrix::split(&b, scheme.split_scheme());
     let base = EngineConfig::default();
     let tiles_per_call = (shape.m.div_ceil(base.mc) * shape.n.div_ceil(base.nc)) as u64;
 
@@ -478,7 +406,7 @@ fn bench_thread_sweep(shape: GemmShape, reps: usize, workers: &[usize]) -> Vec<S
             ..RuntimeConfig::from_env()
         });
         let cfg = EngineConfig { threads: 1, ..base };
-        gemm_blocked_in(&rt, &sa, &sb, None, scheme, TK, cfg)
+        run(&rt, &a, &b, scheme, cfg)
     };
 
     workers
@@ -490,7 +418,7 @@ fn bench_thread_sweep(shape: GemmShape, reps: usize, workers: &[usize]) -> Vec<S
             });
             let cfg = EngineConfig { threads: w, ..base };
             // Bit-identity before any timing claim.
-            let once = gemm_blocked_in(&rt, &sa, &sb, None, scheme, TK, cfg);
+            let once = run(&rt, &a, &b, scheme, cfg);
             assert_bits_equal(&format!("thread_sweep workers={w}"), &once, &reference);
 
             // Timed reps run with telemetry off (span recording would
@@ -498,10 +426,7 @@ fn bench_thread_sweep(shape: GemmShape, reps: usize, workers: &[usize]) -> Vec<S
             // scheduler counters are always-on runtime atomics, so
             // their deltas still cover the timed calls.
             let sched0 = rt.sched_stats();
-            let (t, _) = time_reps(
-                || gemm_blocked_in(&rt, &sa, &sb, None, scheme, TK, cfg),
-                reps,
-            );
+            let (t, _) = time_reps(|| run(&rt, &a, &b, scheme, cfg), reps);
             let sched = rt.sched_stats().delta_since(&sched0);
 
             // One extra untimed call with telemetry on, for the
@@ -510,7 +435,7 @@ fn bench_thread_sweep(shape: GemmShape, reps: usize, workers: &[usize]) -> Vec<S
             let _ = telemetry::drain();
             let cache0 = rt.cache_stats();
             let start_ns = telemetry::now_ns();
-            let _ = gemm_blocked_in(&rt, &sa, &sb, None, scheme, TK, cfg);
+            let _ = run(&rt, &a, &b, scheme, cfg);
             let report = GemmReport::collect(
                 format!("sweep workers={w}"),
                 start_ns,
@@ -583,7 +508,6 @@ fn main() {
         bench_shape("smoke_square", GemmShape::square(96), 1);
         bench_shape("smoke_skewed", GemmShape::new(16, 192, 160), 1);
         bench_repeat_shared_b(GemmShape::new(16, 256, 256), 1, false);
-        bench_fused_cold(GemmShape::new(16, 224, 192), 1, false);
         bench_split_simd(64, 331, 1, false);
         // Edge-heavy ragged shape so the smoke run exercises masked
         // stores and the dual-strip tail, per scheme.
@@ -659,18 +583,6 @@ fn main() {
         GemmShape::new(64, 4096, 4096)
     };
     let repeat = bench_repeat_shared_b(repeat_shape, reps, !quick);
-    // The fused-vs-staged cold comparison uses the shape where staging
-    // overhead is proportionally largest: the per-call split-plane
-    // traffic scales with (m·k + k·n) while compute scales with m·n·k,
-    // so the staging share goes as 1/n + 1/m — the tall-skinny m = 16
-    // activation shape (one wave of fresh activations against a large
-    // weight matrix) is the regime the fusion exists for.
-    let fused_shape = if quick {
-        GemmShape::new(16, 2048, 2048)
-    } else {
-        GemmShape::new(16, 4096, 4096)
-    };
-    let fused = bench_fused_cold(fused_shape, reps, !quick);
     let (sr, sc) = if quick { (2048, 2048) } else { (4096, 4096) };
     let split = bench_split_simd(sr, sc, reps, !quick);
     // Worker-count scaling on the square shape: 1/2/4/8-worker GFLOPS,
@@ -733,17 +645,6 @@ fn main() {
     );
     println!("{:<16}warm runtime cache: {}", "", repeat.cache);
     println!(
-        "{:<16}{:>8}{:>8}{:>8}{:>14.2}{:>14.2}{:>9.2}x  ({:.1} MiB staging avoided/call)",
-        "fused_cold",
-        fused.shape.m,
-        fused.shape.n,
-        fused.shape.k,
-        fused.staged_gflops,
-        fused.fused_gflops,
-        fused.fused_gflops / fused.staged_gflops,
-        fused.bytes_staging_saved_per_call as f64 / (1024.0 * 1024.0),
-    );
-    println!(
         "{:<16}{:>10} elems{:>14.1}{:>14.1}{:>9.2}x  (Melem/s, simd {})",
         "split_simd",
         split.elements,
@@ -774,7 +675,7 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "    \"repeat_shared_b\": {{\"m\": {}, \"n\": {}, \"k\": {}, \"threads\": {}, \"cold_gflops\": {:.3}, \"cold_simd_gflops\": {:.3}, \"warm_gflops\": {:.3}, \"warm_over_cold\": {:.3}, \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"splits\": {}, \"packs\": {}, \"hit_ratio\": {:.4}, \"resident_bytes\": {}, \"bytes_staging_saved\": {}}}}},\n",
+        "    \"repeat_shared_b\": {{\"m\": {}, \"n\": {}, \"k\": {}, \"threads\": {}, \"cold_gflops\": {:.3}, \"cold_simd_gflops\": {:.3}, \"warm_gflops\": {:.3}, \"warm_over_cold\": {:.3}, \"cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"packs\": {}, \"hit_ratio\": {:.4}, \"resident_bytes\": {}, \"bytes_staging_saved\": {}}}}},\n",
         repeat.shape.m,
         repeat.shape.n,
         repeat.shape.k,
@@ -786,22 +687,10 @@ fn main() {
         repeat.cache.hits,
         repeat.cache.misses,
         repeat.cache.evictions,
-        repeat.cache.splits,
         repeat.cache.packs,
         repeat.cache.hit_ratio(),
         repeat.cache.bytes,
         repeat.cache.bytes_staging_saved,
-    ));
-    json.push_str(&format!(
-        "    \"fused_cold\": {{\"m\": {}, \"n\": {}, \"k\": {}, \"threads\": {}, \"staged_gflops\": {:.3}, \"fused_gflops\": {:.3}, \"speedup\": {:.3}, \"bytes_staging_saved_per_call\": {}}},\n",
-        fused.shape.m,
-        fused.shape.n,
-        fused.shape.k,
-        fused.threads,
-        fused.staged_gflops,
-        fused.fused_gflops,
-        fused.fused_gflops / fused.staged_gflops,
-        fused.bytes_staging_saved_per_call,
     ));
     json.push_str(&format!(
         "    \"split_simd\": {{\"elements\": {}, \"scalar_melems_s\": {:.3}, \"simd_melems_s\": {:.3}, \"speedup\": {:.3}, \"simd_available\": {}}},\n",

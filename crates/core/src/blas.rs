@@ -7,16 +7,15 @@
 //! * `op(A)` / `op(B)`: no-op or transpose (materialized; the simulated
 //!   kernel would fold the transpose into its tile loads, which changes
 //!   neither numerics nor the traffic model's byte counts);
-//! * `alpha` is folded into the **A split planes** before the Tensor-Core
-//!   phase when it is exactly representable there, otherwise applied as
-//!   an epilogue scale;
+//! * `alpha` is folded into **A** before its split when the scaled split
+//!   planes stay exact (a power of two), otherwise applied as an
+//!   epilogue scale;
 //! * `beta * C` seeds the accumulator (exact when `beta == 1`, one f32
 //!   rounding per element otherwise), matching how a fused kernel's
 //!   epilogue behaves.
 
 use crate::emulation::emulated_gemm;
 use crate::gemm::Egemm;
-use crate::split_matrix::SplitMatrix;
 use egemm_matrix::{GemmShape, Matrix};
 use egemm_tcsim::KernelTiming;
 
@@ -141,15 +140,12 @@ impl Egemm {
         } else {
             a_eff
         };
-        let sa = SplitMatrix::split(&a_scaled, self.scheme.split_scheme());
-        let sb = SplitMatrix::split(&b_eff, self.scheme.split_scheme());
-
         let d = if fold || call.alpha == 1.0 {
-            emulated_gemm(&sa, &sb, seed.as_ref(), self.scheme)
+            emulated_gemm(&a_scaled, &b_eff, seed.as_ref(), self.scheme)
         } else {
             // Epilogue scaling: compute alpha*(A·B) then add beta*C, as a
             // two-pass kernel epilogue would.
-            let prod = emulated_gemm(&sa, &sb, None, self.scheme);
+            let prod = emulated_gemm(&a_scaled, &b_eff, None, self.scheme);
             match seed {
                 None => prod.map(|x| x * call.alpha),
                 Some(s) => Matrix::from_fn(m, n, |i, j| call.alpha * prod.get(i, j) + s.get(i, j)),

@@ -19,16 +19,17 @@
 //! scheme of cuBLAS-TC-Half; a 4-term Markidis ablation), so every
 //! precision experiment runs through one code path.
 //!
-//! [`emulated_gemm`] is the *functional* executor: it computes, bit-for-bit,
-//! the value the simulated tiled Tensor-Core kernel produces, using the
-//! flattened accumulation order (ascending k in `t_k`-sized chunks, the 4
-//! terms per chunk). [`emulated_gemm_entrywise`] recomputes single output
-//! elements independently — the oracle used to prove the tiled executor and
-//! the flattened executor agree, and the row-sampled engine behind the
-//! large-size precision experiments (Figure 7).
+//! [`emulated_gemm`] is the *functional* executor: from raw binary32
+//! operands it computes, bit-for-bit, the value the simulated tiled
+//! Tensor-Core kernel produces, using the flattened accumulation order
+//! (ascending k in `t_k`-sized chunks, the 4 terms per chunk).
+//! [`emulated_gemm_entrywise`] recomputes single output elements from
+//! explicitly split operands with scalar code — the independent oracle
+//! the engine, the tiled simulator and the benchmark's result checks are
+//! validated against bit for bit.
 
 use crate::config::TilingConfig;
-use crate::engine::{self, EngineConfig};
+use crate::engine::{self, EngineRuntime, Plan};
 use crate::split_matrix::SplitMatrix;
 use egemm_fp::{PrecisionFormat, SplitScheme};
 use egemm_matrix::Matrix;
@@ -109,33 +110,32 @@ impl EmulationScheme {
     }
 }
 
-/// Functional emulated GEMM: `D = A·B + C` over split operands, producing
-/// exactly what the simulated tiled Tensor-Core kernel computes.
+/// Functional emulated GEMM: `D = A·B + C` over raw binary32 operands,
+/// producing exactly what the simulated tiled Tensor-Core kernel
+/// computes from their `scheme` splits.
 ///
 /// Accumulation semantics (the profiled Tensor-Core arithmetic): per
 /// output element, k advances in `t_k`-sized chunks; within a chunk the
 /// scheme's terms are issued in order; within a term the `t_k` products
 /// are accumulated sequentially in binary32. Execution runs on the
-/// blocked pack-and-tile engine ([`crate::engine`]), parallel across 2D
-/// output tiles.
+/// blocked pack-and-tile engine ([`crate::engine::gemm`]) on the
+/// process-wide runtime, parallel across 2D output tiles, with the
+/// split fused into the engine's panel pack.
 ///
 /// ```
-/// use egemm::{emulated_gemm, EmulationScheme, SplitMatrix};
+/// use egemm::{emulated_gemm, EmulationScheme};
 /// use egemm_matrix::Matrix;
 /// let a = Matrix::<f32>::random_uniform(16, 16, 1);
 /// let b = Matrix::<f32>::random_uniform(16, 16, 2);
-/// let scheme = EmulationScheme::EgemmTc;
-/// let sa = SplitMatrix::split(&a, scheme.split_scheme());
-/// let sb = SplitMatrix::split(&b, scheme.split_scheme());
-/// let d = emulated_gemm(&sa, &sb, None, scheme);
+/// let d = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
 /// assert_eq!((d.rows(), d.cols()), (16, 16));
 /// ```
 ///
 /// # Panics
-/// If the operand shapes disagree or the split schemes differ.
+/// If the operand shapes disagree.
 pub fn emulated_gemm(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
+    a: &Matrix<f32>,
+    b: &Matrix<f32>,
     c: Option<&Matrix<f32>>,
     scheme: EmulationScheme,
 ) -> Matrix<f32> {
@@ -149,13 +149,20 @@ pub fn emulated_gemm(
 /// `wmma::mma_sync` tile (`t_k = 16`), which changes the accumulation
 /// grouping and therefore the low-order bits.
 pub fn emulated_gemm_tk(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
+    a: &Matrix<f32>,
+    b: &Matrix<f32>,
     c: Option<&Matrix<f32>>,
     scheme: EmulationScheme,
     tk: usize,
 ) -> Matrix<f32> {
-    engine::gemm_blocked(a, b, c, scheme, tk, EngineConfig::default())
+    engine::gemm(
+        EngineRuntime::global(),
+        &Plan {
+            c,
+            tk,
+            ..Plan::new(a, b, scheme)
+        },
+    )
 }
 
 /// Row-sampled emulated GEMM: compute only the output rows in `rows`
@@ -168,18 +175,17 @@ pub fn emulated_gemm_tk(
 /// If any index is out of range or `rows` is not strictly ascending —
 /// both validated up front, before any compute.
 pub fn emulated_gemm_rows(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
+    a: &Matrix<f32>,
+    b: &Matrix<f32>,
     rows: &[usize],
     scheme: EmulationScheme,
 ) -> Matrix<f32> {
-    engine::gemm_blocked_rows(
-        a,
-        b,
-        rows,
-        scheme,
-        TilingConfig::TC.k,
-        EngineConfig::default(),
+    engine::gemm(
+        EngineRuntime::global(),
+        &Plan {
+            rows: Some(rows),
+            ..Plan::new(a, b, scheme)
+        },
     )
 }
 
@@ -212,12 +218,7 @@ pub fn emulated_gemm_entrywise(
     acc
 }
 
-pub(crate) fn check(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-) {
+fn check(a: &SplitMatrix, b: &SplitMatrix, c: Option<&Matrix<f32>>, scheme: EmulationScheme) {
     assert_eq!(a.cols(), b.rows(), "inner dimensions disagree");
     assert_eq!(a.scheme, scheme.split_scheme(), "A split scheme mismatch");
     assert_eq!(b.scheme, scheme.split_scheme(), "B split scheme mismatch");
@@ -267,9 +268,9 @@ mod tests {
             EmulationScheme::MarkidisFourTerm,
             EmulationScheme::TcHalf,
         ] {
-            let (_, _, sa, sb) = split_pair(24, 40, 17, scheme, 11);
+            let (a, b, sa, sb) = split_pair(24, 40, 17, scheme, 11);
             let c = Matrix::<f32>::random_uniform(24, 17, 99);
-            let d = emulated_gemm(&sa, &sb, Some(&c), scheme);
+            let d = emulated_gemm(&a, &b, Some(&c), scheme);
             for &(i, j) in &[(0usize, 0usize), (5, 3), (23, 16), (12, 8)] {
                 let e = emulated_gemm_entrywise(&sa, &sb, Some(&c), scheme, i, j);
                 assert_eq!(d.get(i, j).to_bits(), e.to_bits(), "{scheme:?} ({i},{j})");
@@ -280,10 +281,10 @@ mod tests {
     #[test]
     fn row_sampled_matches_full() {
         let scheme = EmulationScheme::EgemmTc;
-        let (_, _, sa, sb) = split_pair(32, 64, 32, scheme, 21);
-        let full = emulated_gemm(&sa, &sb, None, scheme);
+        let (a, b, _, _) = split_pair(32, 64, 32, scheme, 21);
+        let full = emulated_gemm(&a, &b, None, scheme);
         let rows = [0usize, 7, 31];
-        let sampled = emulated_gemm_rows(&sa, &sb, &rows, scheme);
+        let sampled = emulated_gemm_rows(&a, &b, &rows, scheme);
         for (ri, &r) in rows.iter().enumerate() {
             for j in 0..32 {
                 assert_eq!(sampled.get(ri, j).to_bits(), full.get(r, j).to_bits());
@@ -295,14 +296,11 @@ mod tests {
     fn extended_precision_close_to_f32_reference() {
         // The headline property: emulation error is hundreds of times
         // smaller than plain half-precision (Figure 7's 350x).
-        let (a, b, sa, sb) = split_pair(64, 64, 64, EmulationScheme::EgemmTc, 31);
+        let a = Matrix::<f32>::random_uniform(64, 64, 31);
+        let b = Matrix::<f32>::random_uniform(64, 64, 32);
         let reference = gemm_f64_of_f32(&a, &b);
-        let egemm = emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc);
-        let half = {
-            let sah = SplitMatrix::split(&a, SplitScheme::Round);
-            let sbh = SplitMatrix::split(&b, SplitScheme::Round);
-            emulated_gemm(&sah, &sbh, None, EmulationScheme::TcHalf)
-        };
+        let egemm = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
+        let half = emulated_gemm(&a, &b, None, EmulationScheme::TcHalf);
         let err_eg = max_abs_error(&egemm.to_f64_vec(), &reference.to_f64_vec());
         let err_half = max_abs_error(&half.to_f64_vec(), &reference.to_f64_vec());
         assert!(
@@ -317,16 +315,8 @@ mod tests {
         let a = Matrix::<f32>::random_uniform(n, n, 41);
         let b = Matrix::<f32>::random_uniform(n, n, 42);
         let reference = gemm_f64_of_f32(&a, &b).to_f64_vec();
-        let eg = {
-            let sa = SplitMatrix::split(&a, SplitScheme::Round);
-            let sb = SplitMatrix::split(&b, SplitScheme::Round);
-            emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc)
-        };
-        let mk = {
-            let sa = SplitMatrix::split(&a, SplitScheme::Truncate);
-            let sb = SplitMatrix::split(&b, SplitScheme::Truncate);
-            emulated_gemm(&sa, &sb, None, EmulationScheme::Markidis)
-        };
+        let eg = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
+        let mk = emulated_gemm(&a, &b, None, EmulationScheme::Markidis);
         let err_eg = max_abs_error(&eg.to_f64_vec(), &reference);
         let err_mk = max_abs_error(&mk.to_f64_vec(), &reference);
         assert!(
@@ -341,10 +331,8 @@ mod tests {
         let a = Matrix::<f32>::random_uniform(n, n, 51);
         let b = Matrix::<f32>::random_uniform(n, n, 52);
         let reference = gemm_f64_of_f32(&a, &b).to_f64_vec();
-        let sa = SplitMatrix::split(&a, SplitScheme::Truncate);
-        let sb = SplitMatrix::split(&b, SplitScheme::Truncate);
-        let four = emulated_gemm(&sa, &sb, None, EmulationScheme::MarkidisFourTerm);
-        let three = emulated_gemm(&sa, &sb, None, EmulationScheme::Markidis);
+        let four = emulated_gemm(&a, &b, None, EmulationScheme::MarkidisFourTerm);
+        let three = emulated_gemm(&a, &b, None, EmulationScheme::Markidis);
         let e4 = max_abs_error(&four.to_f64_vec(), &reference);
         let e3 = max_abs_error(&three.to_f64_vec(), &reference);
         // Dropping lo·lo and issuing hi·hi first costs accuracy, but not
@@ -356,10 +344,10 @@ mod tests {
     #[test]
     fn accumulates_into_c() {
         let scheme = EmulationScheme::EgemmTc;
-        let (_, _, sa, sb) = split_pair(16, 16, 16, scheme, 61);
+        let (a, b, _, _) = split_pair(16, 16, 16, scheme, 61);
         let c = Matrix::from_fn(16, 16, |_, _| 1.0f32);
-        let with_c = emulated_gemm(&sa, &sb, Some(&c), scheme);
-        let without = emulated_gemm(&sa, &sb, None, scheme);
+        let with_c = emulated_gemm(&a, &b, Some(&c), scheme);
+        let without = emulated_gemm(&a, &b, None, scheme);
         for (x, y) in with_c.as_slice().iter().zip(without.as_slice()) {
             assert!((x - y - 1.0).abs() < 1e-5);
         }
@@ -369,8 +357,8 @@ mod tests {
     fn k_not_multiple_of_tk() {
         // k = 13 exercises the partial trailing chunk.
         let scheme = EmulationScheme::EgemmTc;
-        let (_, _, sa, sb) = split_pair(4, 13, 5, scheme, 71);
-        let d = emulated_gemm(&sa, &sb, None, scheme);
+        let (a, b, sa, sb) = split_pair(4, 13, 5, scheme, 71);
+        let d = emulated_gemm(&a, &b, None, scheme);
         let e = emulated_gemm_entrywise(&sa, &sb, None, scheme, 3, 4);
         assert_eq!(d.get(3, 4).to_bits(), e.to_bits());
     }
@@ -381,6 +369,6 @@ mod tests {
         let a = Matrix::<f32>::zeros(4, 4);
         let sa = SplitMatrix::split(&a, SplitScheme::Truncate);
         let sb = SplitMatrix::split(&a, SplitScheme::Truncate);
-        emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc);
+        emulated_gemm_entrywise(&sa, &sb, None, EmulationScheme::EgemmTc, 0, 0);
     }
 }

@@ -1,4 +1,4 @@
-//! Bounded LRU cache of prepared (split and/or fused-packed) operands.
+//! Bounded LRU cache of prepared (split-and-packed) B operands.
 //!
 //! The host engine's per-call costs — the O(N²) hi/lo split and the
 //! panel pack of B — are pure functions of the operand's *contents* and
@@ -12,27 +12,22 @@
 //! output bit — it only decides whether the bit-identical preparation
 //! work is reused or redone.
 //!
-//! An entry holds up to two artifacts, each attached lazily behind its
-//! own mutex: the split planes (staged pipeline, A-side reuse) and the
-//! packed B panels. The fused pipeline goes straight from raw f32 to
-//! packed panels ([`get_or_pack_fused`](PanelCache::get_or_pack_fused)),
-//! leaving the split slot empty — a fused entry's resident charge is
-//! the packed panels alone, roughly half what staged split-then-pack
-//! keeps resident, and the split-plane bytes it never materialized are
+//! An entry holds one artifact, attached lazily behind its mutex: the
+//! packed B panels, split straight from the raw f32 operand
+//! ([`get_or_pack`](PanelCache::get_or_pack)). No split planes are ever
+//! resident; the split-plane bytes a pack never materialized are
 //! tallied in [`CacheStats::bytes_staging_saved`].
 //!
 //! Concurrency: the map is a mutex-guarded `HashMap` of slots. Racing
 //! callers for the same key agree on one entry under the map lock, then
-//! exactly one of them runs each expensive initialization while holding
-//! the artifact's mutex and the others block on the result — so a batch
+//! exactly one of them runs the pack while holding the entry's mutex
+//! and the others block on the result — so a batch
 //! sharing one B operand prepares it exactly once (asserted by the
 //! cache-stats test in `crates/core/src/batched.rs`).
 //!
-//! Eviction is LRU by total resident bytes (whatever artifacts each
-//! entry holds). Evicted entries stay alive for as long as callers hold
+//! Eviction is LRU by total resident bytes. Evicted entries stay alive for as long as callers hold
 //! their `Arc`s; the cache merely drops its reference.
 
-use crate::split_matrix::SplitMatrix;
 use crate::telemetry;
 use egemm_fp::SplitScheme;
 use std::collections::HashMap;
@@ -63,14 +58,12 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped to respect the byte bound.
     pub evictions: u64,
-    /// Bytes currently resident (split planes + packed panels).
+    /// Bytes currently resident (packed panels).
     pub bytes: u64,
-    /// O(N²) splits actually executed (not served from cache).
-    pub splits: u64,
     /// Full-operand B packs actually executed (not served from cache).
     pub packs: u64,
-    /// Split-plane bytes (12 per element) the fused pipeline avoided
-    /// materializing — staging traffic a staged split-then-pack would
+    /// Split-plane bytes (12 per element) the fused split-and-pack
+    /// avoided materializing — staging traffic a split-then-pack would
     /// have written and read back. Monotone.
     pub bytes_staging_saved: u64,
     /// Microkernel JIT compilations attempted (each key compiles at
@@ -98,18 +91,17 @@ impl CacheStats {
 
 impl fmt::Display for CacheStats {
     /// One-line rendering shared by `profiling.rs` / `engine_bench`:
-    /// `hits/misses/evictions + splits/packs executed + resident KiB +
-    /// hit ratio`.
+    /// `hits/misses/evictions + packs executed + resident KiB + hit
+    /// ratio`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hit / {} miss / {} evict, {} split + {} pack run, {:.1} KiB resident, \
+            "{} hit / {} miss / {} evict, {} pack run, {:.1} KiB resident, \
              {:.1} KiB staging saved, {:.1}% hit ratio, {} jit compile / {} jit hit \
              ({:.1} KiB code)",
             self.hits,
             self.misses,
             self.evictions,
-            self.splits,
             self.packs,
             self.bytes as f64 / 1024.0,
             self.bytes_staging_saved as f64 / 1024.0,
@@ -172,23 +164,11 @@ pub(crate) struct CacheKey {
     pub scheme: SplitScheme,
 }
 
-/// One prepared operand: up to two lazily attached artifacts. The
-/// staged pipeline fills `split` (and `packed` for B-side reuse); the
-/// fused pipeline fills only `packed`, going straight from raw f32 to
-/// panel slivers. Each mutex is held across its expensive
-/// initialization so racing callers run it exactly once.
+/// One prepared operand: its packed panels, attached lazily. The mutex
+/// is held across the pack so racing callers run it exactly once.
+#[derive(Default)]
 pub(crate) struct CacheEntry {
-    split: Mutex<Option<Arc<SplitMatrix>>>,
     packed: Mutex<Option<Arc<PackedB>>>,
-}
-
-impl CacheEntry {
-    fn empty() -> CacheEntry {
-        CacheEntry {
-            split: Mutex::new(None),
-            packed: Mutex::new(None),
-        }
-    }
 }
 
 /// Resident bytes of split planes for an `rows x cols` operand:
@@ -202,8 +182,8 @@ struct Slot {
     entry: Arc<CacheEntry>,
     /// LRU stamp, refreshed on every touch.
     last_used: u64,
-    /// Bytes charged against the cache bound for this slot (whatever
-    /// artifacts the entry holds: split planes and/or packed panels).
+    /// Bytes charged against the cache bound for this slot (its packed
+    /// panels).
     charged: usize,
 }
 
@@ -218,7 +198,6 @@ pub(crate) struct PanelCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     bytes: AtomicU64,
-    splits: AtomicU64,
     packs: AtomicU64,
     staging_saved: AtomicU64,
 }
@@ -233,7 +212,6 @@ impl PanelCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
             packs: AtomicU64::new(0),
             staging_saved: AtomicU64::new(0),
         }
@@ -245,7 +223,6 @@ impl PanelCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
-            splits: self.splits.load(Ordering::Relaxed),
             packs: self.packs.load(Ordering::Relaxed),
             bytes_staging_saved: self.staging_saved.load(Ordering::Relaxed),
             // The JIT series live in the runtime's kernel cache and are
@@ -271,7 +248,7 @@ impl PanelCache {
     pub(crate) fn entry_for_key(&self, key: CacheKey) -> Arc<CacheEntry> {
         if self.capacity_bytes == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(CacheEntry::empty());
+            return Arc::new(CacheEntry::default());
         }
         let t_lookup = telemetry::span_start();
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
@@ -283,7 +260,7 @@ impl PanelCache {
                     (s.entry.clone(), false)
                 }
                 None => {
-                    let entry = Arc::new(CacheEntry::empty());
+                    let entry = Arc::new(CacheEntry::default());
                     map.insert(
                         key,
                         Slot {
@@ -305,78 +282,20 @@ impl PanelCache {
         entry
     }
 
-    /// Return the split planes of `entry`, running `split_fn` (charged
-    /// to the `splits` counter) if none exist yet. The entry's split
-    /// mutex is held across the split so racing callers split exactly
-    /// once.
-    pub(crate) fn split_of(
-        &self,
-        key: CacheKey,
-        entry: &CacheEntry,
-        split_fn: impl FnOnce() -> SplitMatrix,
-    ) -> Arc<SplitMatrix> {
-        let mut guard = lock_unpoisoned(&entry.split);
-        if let Some(s) = guard.as_ref() {
-            return s.clone();
-        }
-        self.splits.fetch_add(1, Ordering::Relaxed);
-        let split = Arc::new(split_fn());
-        let bytes = split_plane_bytes(split.rows(), split.cols());
-        *guard = Some(split.clone());
-        drop(guard);
-        if self.capacity_bytes > 0 {
-            self.charge(key, bytes);
-        }
-        split
-    }
-
     /// Return the packed panels of `entry`, packing (charged to the
     /// `packs` counter) only if none exist yet or the stored geometry
-    /// disagrees with `kc`. The entry's pack mutex is held across the
-    /// pack so concurrent callers pack exactly once.
+    /// disagrees with `kc`. `pack_fn` goes straight from raw f32 to
+    /// packed panels, so the span is attributed to the
+    /// `fused_split_pack` phase and the split-plane bytes it never
+    /// materialized are added to `bytes_staging_saved`. The entry's
+    /// mutex is held across the pack so concurrent callers pack exactly
+    /// once.
     pub(crate) fn get_or_pack(
         &self,
         key: CacheKey,
         entry: &CacheEntry,
         kc: usize,
         pack_fn: impl FnOnce() -> PackedB,
-    ) -> Arc<PackedB> {
-        self.pack_impl(key, entry, kc, pack_fn, telemetry::Phase::PackB, 0)
-    }
-
-    /// Fused variant of [`get_or_pack`](PanelCache::get_or_pack):
-    /// `pack_fn` goes straight from raw f32 to packed panels, so the
-    /// span is attributed to the `fused_split_pack` phase and the
-    /// split-plane bytes a staged pipeline would have materialized for
-    /// this operand are added to `bytes_staging_saved`. The entry's
-    /// split slot stays empty — packed panels are the only resident
-    /// charge.
-    pub(crate) fn get_or_pack_fused(
-        &self,
-        key: CacheKey,
-        entry: &CacheEntry,
-        kc: usize,
-        pack_fn: impl FnOnce() -> PackedB,
-    ) -> Arc<PackedB> {
-        let saved = split_plane_bytes(key.rows, key.cols) as u64;
-        self.pack_impl(
-            key,
-            entry,
-            kc,
-            pack_fn,
-            telemetry::Phase::FusedSplitPack,
-            saved,
-        )
-    }
-
-    fn pack_impl(
-        &self,
-        key: CacheKey,
-        entry: &CacheEntry,
-        kc: usize,
-        pack_fn: impl FnOnce() -> PackedB,
-        phase: telemetry::Phase,
-        staging_saved: u64,
     ) -> Arc<PackedB> {
         let t_lookup = telemetry::span_start();
         let mut guard = lock_unpoisoned(&entry.packed);
@@ -388,14 +307,11 @@ impl PanelCache {
         }
         telemetry::span_end(telemetry::Phase::CacheLookup, t_lookup, 0);
         self.packs.fetch_add(1, Ordering::Relaxed);
-        if staging_saved > 0 {
-            self.staging_saved
-                .fetch_add(staging_saved, Ordering::Relaxed);
-        }
+        self.note_staging_saved(split_plane_bytes(key.rows, key.cols) as u64);
         let t_pack = telemetry::span_start();
         let packed = Arc::new(pack_fn());
         let new_bytes = packed.bytes();
-        telemetry::span_end(phase, t_pack, new_bytes as u64);
+        telemetry::span_end(telemetry::Phase::FusedSplitPack, t_pack, new_bytes as u64);
         let old_bytes = guard.as_ref().map_or(0, |p| p.bytes());
         *guard = Some(packed.clone());
         drop(guard);
@@ -403,17 +319,6 @@ impl PanelCache {
             self.recharge(key, old_bytes, new_bytes);
         }
         packed
-    }
-
-    /// Add `bytes` to `key`'s charge (if the slot is still resident) and
-    /// evict least-recently-used slots until the bound holds.
-    fn charge(&self, key: CacheKey, bytes: usize) {
-        let mut map = lock_unpoisoned(&self.map);
-        if let Some(s) = map.get_mut(&key) {
-            s.charged += bytes;
-            self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        }
-        self.evict_over_bound(&mut map, key);
     }
 
     /// Replace `old_bytes` of `key`'s charge with `new_bytes` (a pack
@@ -457,9 +362,10 @@ impl PanelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use egemm_fp::SplitKernel;
     use egemm_matrix::Matrix;
 
-    fn split_of(m: usize, n: usize, seed: u64) -> (Matrix<f32>, CacheKey) {
+    fn operand(m: usize, n: usize, seed: u64) -> (Matrix<f32>, CacheKey) {
         let mat = Matrix::<f32>::random_uniform(m, n, seed);
         let key = CacheKey {
             fp: fingerprint(mat.as_slice()),
@@ -485,61 +391,65 @@ mod tests {
         assert_eq!(fingerprint(&base), h0);
     }
 
-    /// Staged lookup+split, the shape most tests exercise.
-    fn get_or_split(
+    /// Lookup + pack at panel depth 8, the shape most tests exercise.
+    fn get_or_pack(
         cache: &PanelCache,
         key: CacheKey,
-        split_fn: impl FnOnce() -> SplitMatrix,
-    ) -> Arc<SplitMatrix> {
+        pack_fn: impl FnOnce() -> PackedB,
+    ) -> Arc<PackedB> {
         let entry = cache.entry_for_key(key);
-        cache.split_of(key, &entry, split_fn)
+        cache.get_or_pack(key, &entry, 8, pack_fn)
+    }
+
+    fn pack(mat: &Matrix<f32>) -> PackedB {
+        PackedB::pack_fused(mat, SplitScheme::Round, SplitKernel::Scalar, 8)
     }
 
     #[test]
-    fn hit_miss_and_split_counting() {
+    fn hit_miss_and_pack_counting() {
         let cache = PanelCache::new(usize::MAX);
-        let (mat, key) = split_of(8, 8, 1);
-        let s1 = get_or_split(&cache, key, || SplitMatrix::split(&mat, SplitScheme::Round));
-        let s2 = get_or_split(&cache, key, || panic!("second lookup must not split"));
-        assert!(Arc::ptr_eq(&s1, &s2));
+        let (mat, key) = operand(8, 8, 1);
+        let p1 = get_or_pack(&cache, key, || pack(&mat));
+        let p2 = get_or_pack(&cache, key, || panic!("second lookup must not pack"));
+        assert!(Arc::ptr_eq(&p1, &p2));
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.splits), (1, 1, 1));
-        assert_eq!(s.bytes, 12 * 64);
+        assert_eq!((s.hits, s.misses, s.packs), (1, 1, 1));
+        // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes.
+        assert_eq!(s.bytes, 2 * 4 * 8 * 16);
     }
 
     #[test]
     fn zero_capacity_disables_retention() {
         let cache = PanelCache::new(0);
-        let (mat, key) = split_of(4, 4, 2);
+        let (mat, key) = operand(4, 4, 2);
         for _ in 0..3 {
-            get_or_split(&cache, key, || SplitMatrix::split(&mat, SplitScheme::Round));
+            get_or_pack(&cache, key, || pack(&mat));
         }
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.splits, s.bytes), (0, 3, 3, 0));
+        assert_eq!((s.hits, s.misses, s.packs, s.bytes), (0, 3, 3, 0));
     }
 
     #[test]
     fn lru_eviction_respects_byte_bound() {
-        // Each 8x8 split charges 12 * 64 = 768 bytes; bound of 2000
-        // holds two entries, so inserting a third evicts the least
-        // recently used.
-        let cache = PanelCache::new(2000);
-        let (m1, k1) = split_of(8, 8, 3);
-        let (m2, k2) = split_of(8, 8, 4);
-        let (m3, k3) = split_of(8, 8, 5);
-        get_or_split(&cache, k1, || SplitMatrix::split(&m1, SplitScheme::Round));
-        get_or_split(&cache, k2, || SplitMatrix::split(&m2, SplitScheme::Round));
+        // Each 8x8 pack charges 1024 bytes; a bound of 2500 holds two
+        // entries, so inserting a third evicts the least recently used.
+        let cache = PanelCache::new(2500);
+        let (m1, k1) = operand(8, 8, 3);
+        let (m2, k2) = operand(8, 8, 4);
+        let (m3, k3) = operand(8, 8, 5);
+        get_or_pack(&cache, k1, || pack(&m1));
+        get_or_pack(&cache, k2, || pack(&m2));
         // Touch k1 so k2 is the LRU victim.
-        get_or_split(&cache, k1, || panic!("k1 should be resident"));
-        get_or_split(&cache, k3, || SplitMatrix::split(&m3, SplitScheme::Round));
+        get_or_pack(&cache, k1, || panic!("k1 should be resident"));
+        get_or_pack(&cache, k3, || pack(&m3));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
-        assert!(s.bytes <= 2000, "resident {} over bound", s.bytes);
+        assert!(s.bytes <= 2500, "resident {} over bound", s.bytes);
         // k1 survived, k2 was evicted.
-        get_or_split(&cache, k1, || panic!("k1 evicted unexpectedly"));
-        let before = cache.stats().splits;
-        get_or_split(&cache, k2, || SplitMatrix::split(&m2, SplitScheme::Round));
-        assert_eq!(cache.stats().splits, before + 1, "k2 should re-split");
+        get_or_pack(&cache, k1, || panic!("k1 evicted unexpectedly"));
+        let before = cache.stats().packs;
+        get_or_pack(&cache, k2, || pack(&m2));
+        assert_eq!(cache.stats().packs, before + 1, "k2 should re-pack");
     }
 
     #[test]
@@ -547,16 +457,14 @@ mod tests {
         // Regression: a panicking pack_fn poisons the entry's pack
         // mutex; the next caller used to abort on `.unwrap()`. It must
         // recover the guard and pack normally instead.
-        use egemm_fp::SplitScheme;
         let cache = PanelCache::new(usize::MAX);
-        let (mat, key) = split_of(8, 16, 11);
+        let (mat, key) = operand(8, 16, 11);
         let entry = cache.entry_for_key(key);
-        let split = cache.split_of(key, &entry, || SplitMatrix::split(&mat, SplitScheme::Round));
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.get_or_pack(key, &entry, 8, || panic!("pack failure"));
         }));
         assert!(poisoned.is_err());
-        let packed = cache.get_or_pack(key, &entry, 8, || PackedB::pack(&split, 8));
+        let packed = cache.get_or_pack(key, &entry, 8, || pack(&mat));
         assert_eq!(packed.kc(), 8);
         // And a further lookup hits the now-resident pack.
         let again = cache.get_or_pack(key, &entry, 8, || panic!("must be resident"));
@@ -565,18 +473,13 @@ mod tests {
 
     #[test]
     fn fused_entries_charge_packed_bytes_only() {
-        // Regression for the resident-bytes accounting under the fused
-        // path: an entry prepared via get_or_pack_fused holds no split
-        // planes, so the counter must equal the packed allocation alone
-        // — after hits it must not grow, and after eviction it must
-        // return exactly to the surviving allocation.
-        use egemm_fp::SplitKernel;
+        // Resident-bytes accounting: an entry holds no split planes, so
+        // the counter must equal the packed allocation alone — after
+        // hits it must not grow, and after eviction it must return
+        // exactly to the surviving allocations.
         let cache = PanelCache::new(3000);
-        let (m1, k1) = split_of(8, 16, 21);
-        let e1 = cache.entry_for_key(k1);
-        let p1 = cache.get_or_pack_fused(k1, &e1, 8, || {
-            PackedB::pack_fused(&m1, SplitScheme::Round, SplitKernel::Scalar, 8)
-        });
+        let (m1, k1) = operand(8, 16, 21);
+        let p1 = get_or_pack(&cache, k1, || pack(&m1));
         // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes — no 12-byte
         // per-element split residency on top.
         assert_eq!(p1.bytes(), 2 * 4 * 8 * 16);
@@ -587,8 +490,7 @@ mod tests {
         );
         // A hit reuses the allocation: resident bytes unchanged, no new
         // staging counted (nothing was packed).
-        let e1b = cache.entry_for_key(k1);
-        let p1b = cache.get_or_pack_fused(k1, &e1b, 8, || panic!("must be resident"));
+        let p1b = get_or_pack(&cache, k1, || panic!("must be resident"));
         assert!(Arc::ptr_eq(&p1, &p1b));
         let s = cache.stats();
         assert_eq!(s.bytes, p1.bytes() as u64);
@@ -596,21 +498,14 @@ mod tests {
         // Two more entries (1024 B each) push past the 3000-byte bound;
         // after the eviction the counter matches the surviving
         // allocations exactly.
-        let (m2, k2) = split_of(8, 16, 22);
-        let e2 = cache.entry_for_key(k2);
-        let p2 = cache.get_or_pack_fused(k2, &e2, 8, || {
-            PackedB::pack_fused(&m2, SplitScheme::Round, SplitKernel::Scalar, 8)
-        });
-        let (m3, k3) = split_of(8, 16, 23);
-        let e3 = cache.entry_for_key(k3);
-        let p3 = cache.get_or_pack_fused(k3, &e3, 8, || {
-            PackedB::pack_fused(&m3, SplitScheme::Round, SplitKernel::Scalar, 8)
-        });
+        let (m2, k2) = operand(8, 16, 22);
+        let p2 = get_or_pack(&cache, k2, || pack(&m2));
+        let (m3, k3) = operand(8, 16, 23);
+        let p3 = get_or_pack(&cache, k3, || pack(&m3));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.bytes, (p2.bytes() + p3.bytes()) as u64);
         assert_eq!(s.packs, 3);
-        assert_eq!(s.splits, 0, "fused path must never split");
     }
 
     #[test]
@@ -620,7 +515,6 @@ mod tests {
             misses: 1,
             evictions: 2,
             bytes: 2048,
-            splits: 1,
             packs: 1,
             bytes_staging_saved: 3072,
             jit_compiles: 4,
@@ -630,6 +524,7 @@ mod tests {
         };
         let text = s.to_string();
         assert!(text.contains("3 hit"), "{text}");
+        assert!(text.contains("1 pack run"), "{text}");
         assert!(text.contains("2.0 KiB resident"), "{text}");
         assert!(text.contains("3.0 KiB staging saved"), "{text}");
         assert!(text.contains("75.0% hit ratio"), "{text}");
@@ -641,7 +536,7 @@ mod tests {
 
     #[test]
     fn mutation_changes_key() {
-        let (mat, key) = split_of(6, 6, 7);
+        let (mat, key) = operand(6, 6, 7);
         let mut mutated = mat.clone();
         let s = mutated.as_mut_slice();
         s[17] += 1.0;

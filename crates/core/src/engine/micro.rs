@@ -13,7 +13,8 @@
 use super::pack::{MR, NR};
 
 /// Per-plane packed operand views for one row block / column strip.
-/// Planes a scheme never touches are empty slices and never indexed.
+/// Both planes are always packed; a scheme reads only the planes its
+/// terms name.
 #[derive(Clone, Copy)]
 pub(crate) struct PlanePair<'a> {
     pub hi: &'a [f32],

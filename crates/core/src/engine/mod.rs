@@ -27,10 +27,18 @@
 //! stream within one element. Blocking over k is only legal because `kc`
 //! is forced to a multiple of `tk` (panel seams land on chunk
 //! boundaries) and the partial accumulator is carried through the output
-//! buffer in binary32 — a lossless round-trip. Every entry point is
-//! therefore bit-identical to [`crate::emulated_gemm_entrywise`]; the
-//! proptest suite in `tests/prop_engine.rs` enforces that with
-//! `to_bits` equality.
+//! buffer in binary32 — a lossless round-trip.
+//!
+//! There is one pipeline and one entry point, [`gemm`] over a [`Plan`]:
+//! A always arrives as raw f32 and is split into its hi/lo planes inside
+//! the per-panel pack (the split is elementwise, so fusing it into the
+//! pack cannot change a bit); B arrives raw (split and packed per panel
+//! through the cooperative store) or as a [`PreparedOperand`] whose
+//! panels [`prepare_b_fused`] packed once through the runtime cache.
+//! No whole-operand split planes are ever materialized. The result is
+//! bit-identical to the scalar [`crate::emulated_gemm_entrywise`]
+//! oracle; the proptest suite in `tests/prop_engine.rs` enforces that
+//! with `to_bits` equality.
 
 mod cache;
 pub(crate) mod jit;
@@ -39,8 +47,8 @@ mod pack;
 pub mod runtime;
 mod sched;
 
-use crate::emulation::{check, EmulationScheme};
-use crate::split_matrix::SplitMatrix;
+use crate::config::TilingConfig;
+use crate::emulation::EmulationScheme;
 use crate::telemetry;
 pub use cache::fingerprint as content_fingerprint;
 use cache::split_plane_bytes;
@@ -48,7 +56,7 @@ use egemm_fp::{SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
 pub use jit::{available as jit_available, exec_mappings as jit_exec_mappings};
 use micro::{load_acc, microkernel, store_acc, PlanePair};
-use pack::{pack_a, pack_a_fused, pack_b, pack_b_fused, PackedB, PanelStore, MR, NR};
+use pack::{pack_a_fused, pack_b_fused, PanelStore, MR, NR};
 pub use runtime::{CacheStats, EngineRuntime, PreparedOperand, RuntimeConfig};
 pub use sched::SchedStats;
 use sched::{Claim, TileScheduler};
@@ -74,13 +82,6 @@ pub struct EngineConfig {
     /// Worker threads; `0` resolves `EGEMM_THREADS`, then
     /// `RAYON_NUM_THREADS`, then the machine's available parallelism.
     pub threads: usize,
-    /// Route the high-level entry points ([`crate::Egemm`], batched,
-    /// split-K) through the staged split-then-pack reference pipeline
-    /// instead of the fused one. The staged pipeline materializes full
-    /// [`SplitMatrix`] planes before packing — twice the staging
-    /// traffic and resident bytes — and exists as the bit-identity
-    /// oracle the fused path is property-tested against.
-    pub staged: bool,
     /// Dispatch tiles through JIT-compiled shape-specialized
     /// microkernels when the process supports them (x86-64 Linux with
     /// AVX, `EGEMM_JIT` not set to `0`). The interpreted microkernel
@@ -97,7 +98,6 @@ impl Default for EngineConfig {
             nc: 256,
             kc: 256,
             threads: 0,
-            staged: false,
             jit: true,
         }
     }
@@ -125,182 +125,177 @@ pub(crate) fn clamp_kc(kc: usize, tk: usize) -> usize {
     (kc.max(tk) / tk) * tk
 }
 
-/// Blocked emulated GEMM: `D = A·B (+ C)` with the accumulation
-/// semantics of [`crate::emulated_gemm_tk`]. Executes on the process-wide
-/// [`EngineRuntime::global`] pool.
-pub fn gemm_blocked(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    gemm_blocked_in(EngineRuntime::global(), a, b, c, scheme, tk, cfg)
+/// The right-hand operand of a [`Plan`].
+#[derive(Debug, Clone, Copy)]
+pub enum BOperand<'a> {
+    /// Raw f32, split into hi/lo planes inside the per-panel pack.
+    Raw(&'a Matrix<f32>),
+    /// Panels prepacked by [`prepare_b_fused`]; workers read slivers
+    /// straight from the handle. Requires the full k range and the
+    /// blocking the operand was prepared with.
+    Prepared(&'a PreparedOperand),
 }
 
-/// [`gemm_blocked`] on an explicit runtime (pool + cache instance).
-pub fn gemm_blocked_in(
-    rt: &EngineRuntime,
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    check(a, b, c, scheme);
-    assert!(tk > 0, "tk must be positive");
-    let mut out = match c {
-        Some(c0) => c0.clone(),
-        None => Matrix::zeros(a.rows(), b.cols()),
-    };
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Split(a),
-            b: Some(Operand::Split(b)),
-            b_pack: None,
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo: 0,
-            k_hi: a.cols(),
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// Fused blocked emulated GEMM: both operands arrive as raw f32 and are
-/// split into their hi/lo planes *inside* the per-tile pack — no
-/// [`SplitMatrix`] is ever materialized. Bit-identical to
-/// [`gemm_blocked`] over `SplitMatrix::split_with` of the same operands
-/// (the split is elementwise, so fusing it into the pack cannot change
-/// a bit), at a fraction of the cold-path memory traffic. Executes on
-/// the process-wide [`EngineRuntime::global`] pool.
-pub fn gemm_blocked_fused(
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    gemm_blocked_fused_in(EngineRuntime::global(), a, b, c, scheme, tk, cfg)
-}
-
-/// [`gemm_blocked_fused`] on an explicit runtime.
-pub fn gemm_blocked_fused_in(
-    rt: &EngineRuntime,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    check_raw(a, b.rows(), b.cols(), c);
-    assert!(tk > 0, "tk must be positive");
-    rt.note_staging_saved(
-        (split_plane_bytes(a.rows(), a.cols()) + split_plane_bytes(b.rows(), b.cols())) as u64,
-    );
-    let mut out = match c {
-        Some(c0) => c0.clone(),
-        None => Matrix::zeros(a.rows(), b.cols()),
-    };
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Raw(a),
-            b: Some(Operand::Raw(b)),
-            b_pack: None,
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo: 0,
-            k_hi: a.cols(),
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// Fused blocked GEMM over the reduction slice `[k_lo, k_hi)`: the
-/// split-K partial product from raw f32 operands. Chunking restarts at
-/// `k_lo`, and the per-tile fused pack splits exactly the elements of
-/// the slice — bit-identical to [`gemm_blocked_range`] over the staged
-/// splits, including at chunk boundaries. Callers accounting staging
-/// savings should note them once per operand, not per slice.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_blocked_range_fused_in(
-    rt: &EngineRuntime,
-    a: &Matrix<f32>,
-    b: &Matrix<f32>,
-    k_lo: usize,
-    k_hi: usize,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    check_raw(a, b.rows(), b.cols(), None);
-    assert!(tk > 0, "tk must be positive");
-    assert!(
-        k_lo <= k_hi && k_hi <= a.cols(),
-        "k range [{k_lo}, {k_hi}) out of bounds"
-    );
-    let mut out = Matrix::<f32>::zeros(a.rows(), b.cols());
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Raw(a),
-            b: Some(Operand::Raw(b)),
-            b_pack: None,
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo,
-            k_hi,
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// Raw-operand shape validation, mirroring [`check`]'s messages.
-fn check_raw(a: &Matrix<f32>, b_rows: usize, b_cols: usize, c: Option<&Matrix<f32>>) {
-    assert_eq!(a.cols(), b_rows, "inner dimensions disagree");
-    if let Some(c0) = c {
-        assert_eq!((c0.rows(), c0.cols()), (a.rows(), b_cols), "C shape");
+impl<'a> From<&'a Matrix<f32>> for BOperand<'a> {
+    fn from(m: &'a Matrix<f32>) -> Self {
+        BOperand::Raw(m)
     }
 }
 
-/// Split `src` and pack its B panels through `rt`'s cache, for reuse as
-/// the right-hand operand of [`gemm_blocked_prepared`] under the same
-/// `tk`/`cfg` blocking. A cache hit skips both the O(N²) split and the
-/// pack; the returned handle pins the data independently of eviction.
-pub fn prepare_b(
-    rt: &EngineRuntime,
-    src: &Matrix<f32>,
-    scheme: SplitScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> PreparedOperand {
-    assert!(tk > 0, "tk must be positive");
-    rt.prepare_b(src, scheme, clamp_kc(cfg.kc, tk))
+impl<'a> From<&'a PreparedOperand> for BOperand<'a> {
+    fn from(p: &'a PreparedOperand) -> Self {
+        BOperand::Prepared(p)
+    }
 }
 
-/// Fused variant of [`prepare_b`]: pack `src`'s B panels straight from
-/// the raw f32 data through `rt`'s cache, never materializing the split
-/// planes. The packed panels are bit-identical to what [`prepare_b`]
-/// produces — only the resident footprint (packed panels alone) and the
-/// staging traffic differ.
+impl BOperand<'_> {
+    /// `(k, n)`: reduction depth and output columns.
+    fn shape(&self) -> (usize, usize) {
+        match self {
+            BOperand::Raw(m) => (m.rows(), m.cols()),
+            BOperand::Prepared(p) => (p.rows(), p.cols()),
+        }
+    }
+}
+
+/// One engine execution: `D = A·B (+ C)` over raw f32 A, optionally
+/// restricted to a row gather and/or a reduction slice. Build one with
+/// [`Plan::new`] and override fields with struct-update syntax:
+///
+/// ```
+/// use egemm::engine::{self, EngineRuntime, Plan};
+/// use egemm::EmulationScheme;
+/// use egemm_matrix::Matrix;
+/// let a = Matrix::<f32>::random_uniform(8, 32, 1);
+/// let b = Matrix::<f32>::random_uniform(32, 8, 2);
+/// let rows = [1usize, 5];
+/// let plan = Plan {
+///     rows: Some(&rows),
+///     ..Plan::new(&a, &b, EmulationScheme::EgemmTc)
+/// };
+/// let d = engine::gemm(EngineRuntime::global(), &plan);
+/// assert_eq!((d.rows(), d.cols()), (2, 8));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Plan<'a> {
+    /// Left operand, split per tile inside the workers' pack.
+    pub a: &'a Matrix<f32>,
+    /// Right operand, raw or prepared.
+    pub b: BOperand<'a>,
+    /// Accumulator seed, shaped like the output; `None` starts at zero.
+    pub c: Option<&'a Matrix<f32>>,
+    /// Compute only these output rows (strictly ascending A row
+    /// indices); the output is then `rows.len() x n`, bit-identical to
+    /// those rows of the full product.
+    pub rows: Option<&'a [usize]>,
+    /// Reduction slice `[k_lo, k_hi)` — the split-K partial product.
+    /// Chunking restarts at `k_lo`. `None` is the whole reduction.
+    pub k_range: Option<(usize, usize)>,
+    /// Emulation scheme: split technique plus term order.
+    pub scheme: EmulationScheme,
+    /// Tensor-Core chunk depth of the accumulation order.
+    pub tk: usize,
+    /// Blocking, threading and JIT switches.
+    pub cfg: EngineConfig,
+}
+
+impl<'a> Plan<'a> {
+    /// The full product `A·B` at the HMMA.1688 chunk depth
+    /// (`TilingConfig::TC.k`) under the default blocking.
+    pub fn new(a: &'a Matrix<f32>, b: impl Into<BOperand<'a>>, scheme: EmulationScheme) -> Self {
+        Plan {
+            a,
+            b: b.into(),
+            c: None,
+            rows: None,
+            k_range: None,
+            scheme,
+            tk: TilingConfig::TC.k,
+            cfg: EngineConfig::default(),
+        }
+    }
+}
+
+/// Execute `plan` on `rt`: the one engine entry point. Validates the
+/// plan, allocates the output (a copy of C, or zeros) and runs the
+/// blocked pipeline, which replays per output element the profiled
+/// Tensor-Core accumulation order described in the module docs.
+///
+/// # Panics
+/// If the shapes disagree, `tk` is zero, a row index is out of range or
+/// the rows are not strictly ascending, the k range is out of bounds,
+/// or a prepared B was packed under another split scheme or panel depth
+/// or is paired with a partial k range.
+pub fn gemm(rt: &EngineRuntime, plan: &Plan<'_>) -> Matrix<f32> {
+    let a = plan.a;
+    let (k, n) = plan.b.shape();
+    assert_eq!(a.cols(), k, "inner dimensions disagree");
+    assert!(plan.tk > 0, "tk must be positive");
+    if let Some(rows) = plan.rows {
+        for (pos, &r) in rows.iter().enumerate() {
+            assert!(
+                r < a.rows(),
+                "sampled row {r} (position {pos}) out of range: A has {} rows",
+                a.rows()
+            );
+            if pos > 0 {
+                assert!(
+                    rows[pos - 1] < r,
+                    "sampled rows must be strictly ascending: rows[{}] = {} precedes {r}",
+                    pos - 1,
+                    rows[pos - 1]
+                );
+            }
+        }
+    }
+    let (k_lo, k_hi) = plan.k_range.unwrap_or((0, k));
+    assert!(
+        k_lo <= k_hi && k_hi <= k,
+        "k range [{k_lo}, {k_hi}) out of bounds"
+    );
+    let kc = clamp_kc(plan.cfg.kc, plan.tk);
+    if let BOperand::Prepared(p) = plan.b {
+        assert_eq!(
+            p.scheme(),
+            plan.scheme.split_scheme(),
+            "B split scheme mismatch"
+        );
+        assert_eq!(
+            p.packed.kc(),
+            kc,
+            "prepacked panel depth disagrees with the blocking in effect"
+        );
+        assert!(
+            (k_lo, k_hi) == (0, k),
+            "prepacked B requires a full k range, got [{k_lo}, {k_hi})"
+        );
+    }
+    let m_out = plan.rows.map_or(a.rows(), <[usize]>::len);
+    let mut out = match plan.c {
+        Some(c0) => {
+            assert_eq!((c0.rows(), c0.cols()), (m_out, n), "C shape");
+            c0.clone()
+        }
+        None => Matrix::zeros(m_out, n),
+    };
+    // The split planes the per-panel packs never materialize: A's slice
+    // always, B's only when it arrives raw (a prepared B was counted
+    // once, when the cache packed it). Split-K slices each count their
+    // own slice, so the slices of one call sum to the whole operands.
+    let depth = k_hi - k_lo;
+    let b_bytes = match plan.b {
+        BOperand::Raw(_) => split_plane_bytes(depth, n),
+        BOperand::Prepared(_) => 0,
+    };
+    rt.note_staging_saved((split_plane_bytes(m_out, depth) + b_bytes) as u64);
+    execute(rt, plan, (k_lo, k_hi), kc, &mut out);
+    out
+}
+
+/// Pack `src`'s B panels straight from the raw f32 data through `rt`'s
+/// cache, for reuse as [`BOperand::Prepared`] under the same `tk`/`cfg`
+/// blocking. A cache hit skips the pack; the returned handle pins the
+/// panels independently of eviction.
 pub fn prepare_b_fused(
     rt: &EngineRuntime,
     src: &Matrix<f32>,
@@ -312,59 +307,9 @@ pub fn prepare_b_fused(
     rt.prepare_b_fused(src, scheme, clamp_kc(cfg.kc, tk))
 }
 
-/// Blocked emulated GEMM whose B operand was prepared by [`prepare_b`]
-/// with the same `tk` and `cfg`: the per-tile B pack is skipped in favor
-/// of the prepacked panels. Bit-identical to [`gemm_blocked`] on the
-/// same data — the microkernel consumes byte-for-byte the same slivers.
-///
-/// # Panics
-/// If the prepared panel depth disagrees with `clamp_kc(cfg.kc, tk)` or
-/// the operand shapes disagree.
-pub fn gemm_blocked_prepared(
-    rt: &EngineRuntime,
-    a: &SplitMatrix,
-    b: &PreparedOperand,
-    c: Option<&Matrix<f32>>,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions disagree");
-    assert_eq!(a.scheme, scheme.split_scheme(), "A split scheme mismatch");
-    assert_eq!(b.scheme(), scheme.split_scheme(), "B split scheme mismatch");
-    if let Some(c0) = c {
-        assert_eq!((c0.rows(), c0.cols()), (a.rows(), b.cols()), "C shape");
-    }
-    assert!(tk > 0, "tk must be positive");
-    let mut out = match c {
-        Some(c0) => c0.clone(),
-        None => Matrix::zeros(a.rows(), b.cols()),
-    };
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Split(a),
-            b: None,
-            b_pack: Some(&b.packed),
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo: 0,
-            k_hi: a.cols(),
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// Fully fused hot path: raw f32 A packed-and-split per tile against a
-/// prepared B (staged or fused — the packed panels are bit-identical
-/// either way). No split matrix is materialized for either operand.
-///
-/// # Panics
-/// Same conditions as [`gemm_blocked_prepared`].
+/// `gemm` of raw A against a prepared B, under the argument list the
+/// layered benchmark (`benchmark/src/layers.rs`) calls. New code builds
+/// a [`Plan`] instead.
 pub fn gemm_blocked_prepared_fused(
     rt: &EngineRuntime,
     a: &Matrix<f32>,
@@ -374,193 +319,15 @@ pub fn gemm_blocked_prepared_fused(
     tk: usize,
     cfg: EngineConfig,
 ) -> Matrix<f32> {
-    check_raw(a, b.rows(), b.cols(), c);
-    assert_eq!(b.scheme(), scheme.split_scheme(), "B split scheme mismatch");
-    assert!(tk > 0, "tk must be positive");
-    rt.note_staging_saved(split_plane_bytes(a.rows(), a.cols()) as u64);
-    let mut out = match c {
-        Some(c0) => c0.clone(),
-        None => Matrix::zeros(a.rows(), b.cols()),
-    };
-    execute(
+    gemm(
         rt,
         &Plan {
-            a: Operand::Raw(a),
-            b: None,
-            b_pack: Some(&b.packed),
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo: 0,
-            k_hi: a.cols(),
+            c,
             tk,
-            scheme,
             cfg,
+            ..Plan::new(a, b, scheme)
         },
-        &mut out,
-    );
-    out
-}
-
-/// Row-sampled blocked GEMM: compute only the output rows in `rows`
-/// (strictly ascending A row indices). Returns a `rows.len() x n`
-/// matrix bit-identical to the corresponding rows of the full product.
-///
-/// # Panics
-/// If any index is out of range or the list is not strictly ascending.
-pub fn gemm_blocked_rows(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    rows: &[usize],
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    gemm_blocked_rows_in(EngineRuntime::global(), a, b, rows, scheme, tk, cfg)
-}
-
-/// [`gemm_blocked_rows`] on an explicit runtime.
-pub fn gemm_blocked_rows_in(
-    rt: &EngineRuntime,
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    rows: &[usize],
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    check(a, b, None, scheme);
-    assert!(tk > 0, "tk must be positive");
-    for (pos, &r) in rows.iter().enumerate() {
-        assert!(
-            r < a.rows(),
-            "sampled row {r} (position {pos}) out of range: A has {} rows",
-            a.rows()
-        );
-        if pos > 0 {
-            assert!(
-                rows[pos - 1] < r,
-                "sampled rows must be strictly ascending: rows[{}] = {} precedes {r}",
-                pos - 1,
-                rows[pos - 1]
-            );
-        }
-    }
-    let mut out = Matrix::<f32>::zeros(rows.len(), b.cols());
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Split(a),
-            b: Some(Operand::Split(b)),
-            b_pack: None,
-            kernel: rt.split_kernel(),
-            rows: Some(rows),
-            k_lo: 0,
-            k_hi: a.cols(),
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// Blocked GEMM over the reduction slice `[k_lo, k_hi)`: the split-K
-/// partial product. Chunking restarts at `k_lo`, matching a fused kernel
-/// run over the slice alone.
-pub fn gemm_blocked_range(
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    k_lo: usize,
-    k_hi: usize,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    gemm_blocked_range_in(EngineRuntime::global(), a, b, k_lo, k_hi, scheme, tk, cfg)
-}
-
-/// [`gemm_blocked_range`] on an explicit runtime.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_blocked_range_in(
-    rt: &EngineRuntime,
-    a: &SplitMatrix,
-    b: &SplitMatrix,
-    k_lo: usize,
-    k_hi: usize,
-    scheme: EmulationScheme,
-    tk: usize,
-    cfg: EngineConfig,
-) -> Matrix<f32> {
-    check(a, b, None, scheme);
-    assert!(tk > 0, "tk must be positive");
-    assert!(
-        k_lo <= k_hi && k_hi <= a.cols(),
-        "k range [{k_lo}, {k_hi}) out of bounds"
-    );
-    let mut out = Matrix::<f32>::zeros(a.rows(), b.cols());
-    execute(
-        rt,
-        &Plan {
-            a: Operand::Split(a),
-            b: Some(Operand::Split(b)),
-            b_pack: None,
-            kernel: rt.split_kernel(),
-            rows: None,
-            k_lo,
-            k_hi,
-            tk,
-            scheme,
-            cfg,
-        },
-        &mut out,
-    );
-    out
-}
-
-/// One GEMM operand as the worker sees it: pre-split planes (staged
-/// pipeline) or the raw f32 matrix (fused pipeline — the per-tile pack
-/// splits on the fly).
-#[derive(Clone, Copy)]
-enum Operand<'a> {
-    Split(&'a SplitMatrix),
-    Raw(&'a Matrix<f32>),
-}
-
-impl Operand<'_> {
-    fn rows(&self) -> usize {
-        match self {
-            Operand::Split(s) => s.rows(),
-            Operand::Raw(m) => m.rows(),
-        }
-    }
-
-    fn cols(&self) -> usize {
-        match self {
-            Operand::Split(s) => s.cols(),
-            Operand::Raw(m) => m.cols(),
-        }
-    }
-}
-
-/// One resolved execution: operands, row gather, k slice, chunk depth.
-struct Plan<'a> {
-    a: Operand<'a>,
-    /// The B operand; `None` exactly when `b_pack` carries the whole
-    /// operand prepacked.
-    b: Option<Operand<'a>>,
-    /// Whole-operand prepacked B panels; when present, workers read
-    /// slivers from here instead of packing per tile. Only set for the
-    /// full-range (`k_lo == 0`), full-rows path with a matching `kc`.
-    b_pack: Option<&'a PackedB>,
-    /// Split kernel for fused per-tile packs of `Raw` operands.
-    kernel: SplitKernel,
-    rows: Option<&'a [usize]>,
-    k_lo: usize,
-    k_hi: usize,
-    tk: usize,
-    scheme: EmulationScheme,
-    cfg: EngineConfig,
+    )
 }
 
 /// Shared output buffer handed to workers; tiles are disjoint by
@@ -569,42 +336,27 @@ struct SharedOut(*mut f32);
 unsafe impl Send for SharedOut {}
 unsafe impl Sync for SharedOut {}
 
-fn execute(rt: &EngineRuntime, plan: &Plan<'_>, out: &mut Matrix<f32>) {
-    let m_out = plan.rows.map_or(plan.a.rows(), <[usize]>::len);
-    let (b_rows, n) = match (&plan.b, plan.b_pack) {
-        (Some(b), _) => (b.rows(), b.cols()),
-        (None, Some(p)) => (p.k(), p.n()),
-        (None, None) => unreachable!("plan must carry B or a prepacked B"),
-    };
-    debug_assert_eq!((out.rows(), out.cols()), (m_out, n));
-    if m_out == 0 || n == 0 || plan.k_lo >= plan.k_hi {
+/// Run a validated plan over the reduction slice `k_lo..k_hi` with
+/// panel depth `kc` (already on the chunk grid), accumulating into
+/// `out`.
+fn execute(
+    rt: &EngineRuntime,
+    plan: &Plan<'_>,
+    (k_lo, k_hi): (usize, usize),
+    kc: usize,
+    out: &mut Matrix<f32>,
+) {
+    let (m_out, n) = (out.rows(), out.cols());
+    if m_out == 0 || n == 0 || k_lo >= k_hi {
         return; // nothing to accumulate; out already holds C (or zeros)
     }
-    // Clamp the blocking to legal values: kc on the chunk grid, mc to at
-    // least one register tile, nc to a positive multiple of NR so every
-    // macro-tile's column origin is strip-aligned (which is what lets a
-    // whole-operand B pack serve any tile). Tiling bounds never affect
-    // output bits — only which elements are computed when.
-    let tk = plan.tk;
-    let kc = clamp_kc(plan.cfg.kc, tk);
+    // Clamp the blocking to legal values: mc to at least one register
+    // tile, nc to a positive multiple of NR so every macro-tile's column
+    // origin is strip-aligned (which is what lets a whole-operand B pack
+    // serve any tile). Tiling bounds never affect output bits — only
+    // which elements are computed when.
     let mc = plan.cfg.mc.max(MR);
     let nc = plan.cfg.nc.div_ceil(NR).max(1) * NR;
-    if let Some(p) = plan.b_pack {
-        if let Some(b) = &plan.b {
-            assert_eq!(
-                (p.k(), p.n()),
-                (b.rows(), b.cols()),
-                "prepacked B shape disagrees with the split operand"
-            );
-        }
-        assert_eq!(
-            p.kc(),
-            kc,
-            "prepacked panel depth disagrees with the blocking in effect"
-        );
-        assert_eq!(plan.k_lo, 0, "prepacked B requires a full k range");
-        assert_eq!(plan.k_hi, b_rows, "prepacked B requires a full k range");
-    }
     let tiles_m = m_out.div_ceil(mc);
     let tiles_n = n.div_ceil(nc);
     let n_tiles = tiles_m * tiles_n;
@@ -623,8 +375,10 @@ fn execute(rt: &EngineRuntime, plan: &Plan<'_>, out: &mut Matrix<f32>) {
     let sched = TileScheduler::new(n_tiles, threads);
     // Cooperative B-panel store: present whenever B must be packed this
     // call (absent on the prepacked path, which reads slivers directly).
-    let panels = (plan.k_hi - plan.k_lo).div_ceil(kc);
-    let store = plan.b.as_ref().map(|_| PanelStore::new(tiles_n, panels));
+    let store = match plan.b {
+        BOperand::Raw(_) => Some(PanelStore::new(tiles_n, (k_hi - k_lo).div_ceil(kc))),
+        BOperand::Prepared(_) => None,
+    };
     let shared = SharedOut(out.as_mut_slice().as_mut_ptr());
     let ctx = WorkerCtx {
         m_out,
@@ -632,7 +386,10 @@ fn execute(rt: &EngineRuntime, plan: &Plan<'_>, out: &mut Matrix<f32>) {
         mc,
         nc,
         kc,
+        k_lo,
+        k_hi,
         tiles_m,
+        kernel: rt.split_kernel(),
     };
     rt.run_parallel(threads, &|| {
         worker(&ctx, plan, &sched, store.as_ref(), rt, &shared)
@@ -646,7 +403,11 @@ struct WorkerCtx {
     mc: usize,
     nc: usize,
     kc: usize,
+    k_lo: usize,
+    k_hi: usize,
     tiles_m: usize,
+    /// Split kernel of the per-panel fused packs.
+    kernel: SplitKernel,
 }
 
 fn worker(
@@ -660,18 +421,14 @@ fn worker(
     let terms = plan.scheme.terms();
     let k = plan.a.cols();
     let split_scheme = plan.scheme.split_scheme();
-    let (a_hi_used, a_lo_used) = (terms.iter().any(|t| !t.0), terms.iter().any(|t| t.0));
-    let (b_hi_used, b_lo_used) = (terms.iter().any(|t| !t.1), terms.iter().any(|t| t.1));
-    // Per-worker A pack scratch, reused across tiles and panels. Planes
-    // a scheme never touches stay empty and are never indexed, except
-    // that a fused pack always emits both planes (the split computes
-    // them together; the microkernel still reads only the used ones).
-    // B panels come from the shared cooperative store (or the prepacked
+    // Per-worker A pack scratch, reused across tiles and panels. The
+    // fused pack emits both planes (the split computes them together);
+    // the microkernel reads only the planes the scheme's terms name. B
+    // panels come from the shared cooperative store (or the prepacked
     // operand), never from per-worker scratch.
-    let fused_a = matches!(plan.a, Operand::Raw(_));
     let a_cap = ctx.mc.div_ceil(MR) * MR * ctx.kc;
-    let mut a_hi = vec![0f32; if a_hi_used || fused_a { a_cap } else { 0 }];
-    let mut a_lo = vec![0f32; if a_lo_used || fused_a { a_cap } else { 0 }];
+    let mut a_hi = vec![0f32; a_cap];
+    let mut a_lo = vec![0f32; a_cap];
     let mut rowbuf: Vec<usize> = Vec::with_capacity(ctx.mc);
     let counters = rt.sched_counters();
     // JIT dispatch state: the runtime's compiled-kernel cache (absent
@@ -716,99 +473,62 @@ fn worker(
         // Panels start at k_lo and advance by kc (a tk multiple), so
         // every seam lands on the per-slice chunk grid; the accumulator
         // carries between panels through the output in exact binary32.
-        let mut pc = plan.k_lo;
-        while pc < plan.k_hi {
-            let kcb = ctx.kc.min(plan.k_hi - pc);
+        let mut pc = ctx.k_lo;
+        while pc < ctx.k_hi {
+            let kcb = ctx.kc.min(ctx.k_hi - pc);
             let a_len = row_blocks * kcb * MR;
             let b_len = strips * kcb * NR;
-            match plan.a {
-                Operand::Split(sa) => {
-                    let t_pack_a = telemetry::span_start();
-                    if a_hi_used {
-                        pack_a(sa.plane(false), k, &rowbuf, pc, kcb, &mut a_hi[..a_len]);
-                    }
-                    if a_lo_used {
-                        pack_a(sa.plane(true), k, &rowbuf, pc, kcb, &mut a_lo[..a_len]);
-                    }
-                    telemetry::span_end(
-                        telemetry::Phase::PackA,
-                        t_pack_a,
-                        4 * (a_len * (a_hi_used as usize + a_lo_used as usize)) as u64,
-                    );
-                }
-                Operand::Raw(ra) => {
-                    let t_fused = telemetry::span_start();
-                    pack_a_fused(
-                        ra.as_slice(),
-                        k,
-                        &rowbuf,
-                        pc,
-                        kcb,
-                        split_scheme,
-                        plan.kernel,
-                        &mut a_hi[..a_len],
-                        &mut a_lo[..a_len],
-                    );
-                    telemetry::span_end(
-                        telemetry::Phase::FusedSplitPack,
-                        t_fused,
-                        (4 * 2 * a_len) as u64,
-                    );
-                }
-            }
-            // B panels go through the cooperative store: the first
-            // worker to reach (jc, pc) packs and publishes it, everyone
-            // else reuses the published planes — the packed bytes are a
-            // pure function of (operand, jc, pc, blocking), so which
-            // worker packs cannot change a bit.
-            let b_planes: Option<(&[f32], &[f32])> = match &plan.b {
-                None => None, // prepacked: slivers are read directly below
-                Some(op) => {
-                    let store = store.expect("a plan with a B operand has a panel store");
-                    let pc_idx = (pc - plan.k_lo) / ctx.kc;
+            let t_fused = telemetry::span_start();
+            pack_a_fused(
+                plan.a.as_slice(),
+                k,
+                &rowbuf,
+                pc,
+                kcb,
+                split_scheme,
+                ctx.kernel,
+                &mut a_hi[..a_len],
+                &mut a_lo[..a_len],
+            );
+            telemetry::span_end(
+                telemetry::Phase::FusedSplitPack,
+                t_fused,
+                (4 * 2 * a_len) as u64,
+            );
+            // A raw B's panels go through the cooperative store: the
+            // first worker to reach (jc, pc) packs and publishes it,
+            // everyone else reuses the published planes — the packed
+            // bytes are a pure function of (operand, jc, pc, blocking),
+            // so which worker packs cannot change a bit.
+            let b_planes: Option<(&[f32], &[f32])> = match plan.b {
+                BOperand::Prepared(_) => None, // slivers are read directly below
+                BOperand::Raw(rb) => {
+                    let store = store.expect("a raw B operand has a panel store");
+                    let pc_idx = (pc - ctx.k_lo) / ctx.kc;
                     let t_pack = telemetry::span_start();
-                    let (bh, bl, packed_here) = store.acquire(jc_idx, pc_idx, |hi, lo| match *op {
-                        Operand::Split(sb) => {
-                            if b_hi_used {
-                                hi.resize(b_len, 0.0);
-                                pack_b(sb.plane(false), ctx.n, jc, ncb, pc, kcb, hi);
-                            }
-                            if b_lo_used {
-                                lo.resize(b_len, 0.0);
-                                pack_b(sb.plane(true), ctx.n, jc, ncb, pc, kcb, lo);
-                            }
-                        }
-                        Operand::Raw(rb) => {
-                            hi.resize(b_len, 0.0);
-                            lo.resize(b_len, 0.0);
-                            pack_b_fused(
-                                rb.as_slice(),
-                                ctx.n,
-                                jc,
-                                ncb,
-                                pc,
-                                kcb,
-                                split_scheme,
-                                plan.kernel,
-                                hi,
-                                lo,
-                            );
-                        }
+                    let (bh, bl, packed_here) = store.acquire(jc_idx, pc_idx, |hi, lo| {
+                        hi.resize(b_len, 0.0);
+                        lo.resize(b_len, 0.0);
+                        pack_b_fused(
+                            rb.as_slice(),
+                            ctx.n,
+                            jc,
+                            ncb,
+                            pc,
+                            kcb,
+                            split_scheme,
+                            ctx.kernel,
+                            hi,
+                            lo,
+                        );
                     });
                     if packed_here {
                         counters.note_panel_packed();
-                        match op {
-                            Operand::Split(_) => telemetry::span_end(
-                                telemetry::Phase::PackB,
-                                t_pack,
-                                4 * (b_len * (b_hi_used as usize + b_lo_used as usize)) as u64,
-                            ),
-                            Operand::Raw(_) => telemetry::span_end(
-                                telemetry::Phase::FusedSplitPack,
-                                t_pack,
-                                (4 * 2 * b_len) as u64,
-                            ),
-                        }
+                        telemetry::span_end(
+                            telemetry::Phase::FusedSplitPack,
+                            t_pack,
+                            (4 * 2 * b_len) as u64,
+                        );
                     } else {
                         counters.note_panel_reused();
                         telemetry::span_end(telemetry::Phase::PanelWait, t_pack, pc_idx as u64);
@@ -829,19 +549,23 @@ fn worker(
                     Some(Some(jit::Isa::Avx512)) if sb + 1 < strips => 2,
                     _ => 1,
                 };
-                // Prepacked slivers are bit-identical to what pack_b
-                // would have produced for this tile: jc is NR-aligned
+                // Prepacked slivers are bit-identical to what the
+                // per-tile pack would have produced: jc is NR-aligned
                 // (nc is clamped to an NR multiple) and the k grid
                 // matches (k_lo = 0, same kc), so global strip jc/NR+sb
                 // of panel pc/kc covers exactly the same column range
                 // with the same zero padding.
-                let b_pair = match plan.b_pack {
-                    Some(p) => PlanePair {
-                        hi: p.sliver_span(false, pc / ctx.kc, kcb, jc / NR + sb, take),
-                        lo: p.sliver_span(true, pc / ctx.kc, kcb, jc / NR + sb, take),
+                let b_pair = match (plan.b, b_planes) {
+                    (BOperand::Prepared(p), _) => PlanePair {
+                        hi: p
+                            .packed
+                            .sliver_span(false, pc / ctx.kc, kcb, jc / NR + sb, take),
+                        lo: p
+                            .packed
+                            .sliver_span(true, pc / ctx.kc, kcb, jc / NR + sb, take),
                     },
-                    None => {
-                        let (bh, bl) = b_planes.expect("store-packed planes present");
+                    (BOperand::Raw(_), planes) => {
+                        let (bh, bl) = planes.expect("store-packed planes present");
                         PlanePair {
                             hi: sliver_span(bh, sb, kcb * NR, take),
                             lo: sliver_span(bl, sb, kcb * NR, take),
@@ -908,29 +632,24 @@ fn worker(
     telemetry::span_end(telemetry::Phase::Worker, t_worker, tiles_claimed);
 }
 
-/// The `idx`-th packed sliver of `len` elements, or an empty slice for an
-/// unused (empty) plane.
+/// The `idx`-th packed sliver of `len` elements.
 #[inline]
 fn sliver(buf: &[f32], idx: usize, len: usize) -> &[f32] {
     sliver_span(buf, idx, len, 1)
 }
 
 /// `take` consecutive packed slivers starting at `idx` as one slice
-/// (slivers are contiguous at stride `len`), or an empty slice for an
-/// unused (empty) plane.
+/// (slivers are contiguous at stride `len`).
 #[inline]
 fn sliver_span(buf: &[f32], idx: usize, len: usize, take: usize) -> &[f32] {
-    if buf.is_empty() {
-        &[]
-    } else {
-        &buf[idx * len..(idx + take) * len]
-    }
+    &buf[idx * len..(idx + take) * len]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::emulation::emulated_gemm_entrywise;
+    use crate::split_matrix::SplitMatrix;
 
     const SCHEMES: [EmulationScheme; 4] = [
         EmulationScheme::EgemmTc,
@@ -939,18 +658,10 @@ mod tests {
         EmulationScheme::TcHalf,
     ];
 
-    fn split_pair(
-        m: usize,
-        k: usize,
-        n: usize,
-        scheme: EmulationScheme,
-        seed: u64,
-    ) -> (SplitMatrix, SplitMatrix) {
-        let a = Matrix::<f32>::random_uniform(m, k, seed);
-        let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
+    fn raw_pair(m: usize, k: usize, n: usize, seed: u64) -> (Matrix<f32>, Matrix<f32>) {
         (
-            SplitMatrix::split(&a, scheme.split_scheme()),
-            SplitMatrix::split(&b, scheme.split_scheme()),
+            Matrix::<f32>::random_uniform(m, k, seed),
+            Matrix::<f32>::random_uniform(k, n, seed + 1),
         )
     }
 
@@ -965,35 +676,66 @@ mod tests {
         }
     }
 
+    /// `engine::gemm` on the global runtime.
+    fn run(plan: Plan<'_>) -> Matrix<f32> {
+        gemm(EngineRuntime::global(), &plan)
+    }
+
+    /// Assert every element of `d` (the `[k_lo, k_hi)` product, seeded
+    /// by `c`) bit-equals the scalar replay of the accumulation
+    /// contract over the split operands, and — at the oracle's fixed
+    /// tk = 8 over the whole reduction — [`emulated_gemm_entrywise`].
+    #[allow(clippy::too_many_arguments)]
+    fn assert_matches_oracle(
+        d: &Matrix<f32>,
+        a: &Matrix<f32>,
+        b: &Matrix<f32>,
+        c: Option<&Matrix<f32>>,
+        scheme: EmulationScheme,
+        tk: usize,
+        (k_lo, k_hi): (usize, usize),
+        what: &str,
+    ) {
+        let sa = SplitMatrix::split(a, scheme.split_scheme());
+        let sb = SplitMatrix::split(b, scheme.split_scheme());
+        let (k, n) = (a.cols(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..n {
+                let mut want = c.map_or(0.0, |c0| c0.get(i, j));
+                let mut kt = k_lo;
+                while kt < k_hi {
+                    let chunk = tk.min(k_hi - kt);
+                    for &(al, bl) in scheme.terms() {
+                        let (ap, bp) = (sa.plane(al), sb.plane(bl));
+                        for kk in kt..kt + chunk {
+                            want += ap[i * k + kk] * bp[kk * n + j];
+                        }
+                    }
+                    kt += chunk;
+                }
+                let got = d.get(i, j).to_bits();
+                assert_eq!(got, want.to_bits(), "{what}: {scheme:?} tk={tk} ({i},{j})");
+                if tk == 8 && (k_lo, k_hi) == (0, k) {
+                    let e = emulated_gemm_entrywise(&sa, &sb, c, scheme, i, j);
+                    assert_eq!(got, e.to_bits(), "{what}: {scheme:?} oracle ({i},{j})");
+                }
+            }
+        }
+    }
+
     #[test]
     fn bit_identical_to_oracle_all_schemes() {
         for scheme in SCHEMES {
-            let (sa, sb) = split_pair(11, 29, 13, scheme, 7);
+            let (a, b) = raw_pair(11, 29, 13, 7);
             let c = Matrix::<f32>::random_uniform(11, 13, 77);
             for tk in [4usize, 8, 16] {
-                let d = gemm_blocked(&sa, &sb, Some(&c), scheme, tk, tight());
-                for i in 0..11 {
-                    for j in 0..13 {
-                        let mut want = c.get(i, j);
-                        let mut kt = 0;
-                        while kt < 29 {
-                            let chunk = tk.min(29 - kt);
-                            for &(al, bl) in scheme.terms() {
-                                let ap = sa.plane(al);
-                                let bp = sb.plane(bl);
-                                for kk in kt..kt + chunk {
-                                    want += ap[i * 29 + kk] * bp[kk * 13 + j];
-                                }
-                            }
-                            kt += chunk;
-                        }
-                        assert_eq!(
-                            d.get(i, j).to_bits(),
-                            want.to_bits(),
-                            "{scheme:?} tk={tk} ({i},{j})"
-                        );
-                    }
-                }
+                let d = run(Plan {
+                    c: Some(&c),
+                    tk,
+                    cfg: tight(),
+                    ..Plan::new(&a, &b, scheme)
+                });
+                assert_matches_oracle(&d, &a, &b, Some(&c), scheme, tk, (0, 29), "raw B");
             }
         }
     }
@@ -1001,36 +743,46 @@ mod tests {
     #[test]
     fn default_config_matches_oracle() {
         let scheme = EmulationScheme::EgemmTc;
-        let (sa, sb) = split_pair(10, 40, 12, scheme, 3);
-        let d = gemm_blocked(&sa, &sb, None, scheme, 8, EngineConfig::default());
-        for &(i, j) in &[(0usize, 0usize), (9, 11), (4, 7)] {
-            let e = emulated_gemm_entrywise(&sa, &sb, None, scheme, i, j);
-            assert_eq!(d.get(i, j).to_bits(), e.to_bits());
-        }
+        let (a, b) = raw_pair(10, 40, 12, 3);
+        let d = run(Plan::new(&a, &b, scheme));
+        assert_matches_oracle(&d, &a, &b, None, scheme, 8, (0, 40), "default");
     }
 
     #[test]
     fn degenerate_shapes() {
         let scheme = EmulationScheme::EgemmTc;
         // 1 x k x 1.
-        let (sa, sb) = split_pair(1, 17, 1, scheme, 9);
-        let d = gemm_blocked(&sa, &sb, None, scheme, 8, tight());
-        let e = emulated_gemm_entrywise(&sa, &sb, None, scheme, 0, 0);
-        assert_eq!(d.get(0, 0).to_bits(), e.to_bits());
+        let (a, b) = raw_pair(1, 17, 1, 9);
+        let d = run(Plan {
+            cfg: tight(),
+            ..Plan::new(&a, &b, scheme)
+        });
+        assert_matches_oracle(&d, &a, &b, None, scheme, 8, (0, 17), "1xkx1");
         // k = 0: output is C unchanged.
-        let (sa0, sb0) = split_pair(3, 0, 4, scheme, 11);
+        let (a0, b0) = raw_pair(3, 0, 4, 11);
         let c = Matrix::<f32>::random_uniform(3, 4, 13);
-        let d0 = gemm_blocked(&sa0, &sb0, Some(&c), scheme, 8, tight());
+        let d0 = run(Plan {
+            c: Some(&c),
+            cfg: tight(),
+            ..Plan::new(&a0, &b0, scheme)
+        });
         assert_eq!(d0.as_slice(), c.as_slice());
     }
 
     #[test]
     fn rows_gather_matches_full() {
         let scheme = EmulationScheme::Markidis;
-        let (sa, sb) = split_pair(23, 31, 10, scheme, 15);
-        let full = gemm_blocked(&sa, &sb, None, scheme, 8, tight());
+        let (a, b) = raw_pair(23, 31, 10, 15);
+        let full = run(Plan {
+            cfg: tight(),
+            ..Plan::new(&a, &b, scheme)
+        });
         let rows = [0usize, 2, 3, 9, 17, 22];
-        let sampled = gemm_blocked_rows(&sa, &sb, &rows, scheme, 8, tight());
+        let sampled = run(Plan {
+            rows: Some(&rows),
+            cfg: tight(),
+            ..Plan::new(&a, &b, scheme)
+        });
         for (ri, &r) in rows.iter().enumerate() {
             for j in 0..10 {
                 assert_eq!(sampled.get(ri, j).to_bits(), full.get(r, j).to_bits());
@@ -1041,17 +793,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn rows_out_of_range_rejected() {
-        let scheme = EmulationScheme::EgemmTc;
-        let (sa, sb) = split_pair(4, 8, 4, scheme, 17);
-        gemm_blocked_rows(&sa, &sb, &[0, 4], scheme, 8, tight());
+        let (a, b) = raw_pair(4, 8, 4, 17);
+        run(Plan {
+            rows: Some(&[0, 4]),
+            ..Plan::new(&a, &b, EmulationScheme::EgemmTc)
+        });
     }
 
     #[test]
     #[should_panic(expected = "strictly ascending")]
     fn rows_descending_rejected() {
-        let scheme = EmulationScheme::EgemmTc;
-        let (sa, sb) = split_pair(4, 8, 4, scheme, 17);
-        gemm_blocked_rows(&sa, &sb, &[2, 1], scheme, 8, tight());
+        let (a, b) = raw_pair(4, 8, 4, 17);
+        run(Plan {
+            rows: Some(&[2, 1]),
+            ..Plan::new(&a, &b, EmulationScheme::EgemmTc)
+        });
     }
 
     #[test]
@@ -1059,55 +815,27 @@ mod tests {
         // A [k_lo, k_hi) slice must chunk from k_lo, like a fused kernel
         // run over the slice alone.
         let scheme = EmulationScheme::EgemmTc;
-        let (sa, sb) = split_pair(6, 37, 5, scheme, 19);
-        let (k_lo, k_hi, tk) = (13usize, 30usize, 8usize);
-        let d = gemm_blocked_range(&sa, &sb, k_lo, k_hi, scheme, tk, tight());
-        for i in 0..6 {
-            for j in 0..5 {
-                let mut want = 0f32;
-                let mut kt = k_lo;
-                while kt < k_hi {
-                    let chunk = tk.min(k_hi - kt);
-                    for &(al, bl) in scheme.terms() {
-                        let ap = sa.plane(al);
-                        let bp = sb.plane(bl);
-                        for kk in kt..kt + chunk {
-                            want += ap[i * 37 + kk] * bp[kk * 5 + j];
-                        }
-                    }
-                    kt += chunk;
-                }
-                assert_eq!(d.get(i, j).to_bits(), want.to_bits(), "({i},{j})");
-            }
-        }
+        let (a, b) = raw_pair(6, 37, 5, 19);
+        let range = (13usize, 30usize);
+        let d = run(Plan {
+            k_range: Some(range),
+            cfg: tight(),
+            ..Plan::new(&a, &b, scheme)
+        });
+        assert_matches_oracle(&d, &a, &b, None, scheme, 8, range, "k range");
     }
 
     #[test]
     fn thread_count_does_not_change_bits() {
         let scheme = EmulationScheme::EgemmTc;
-        let (sa, sb) = split_pair(33, 48, 21, scheme, 23);
-        let one = gemm_blocked(
-            &sa,
-            &sb,
-            None,
-            scheme,
-            8,
-            EngineConfig {
-                threads: 1,
-                ..tight()
-            },
-        );
-        let four = gemm_blocked(
-            &sa,
-            &sb,
-            None,
-            scheme,
-            8,
-            EngineConfig {
-                threads: 4,
-                ..tight()
-            },
-        );
+        let (a, b) = raw_pair(33, 48, 21, 23);
+        let with_threads = |threads| {
+            run(Plan {
+                cfg: EngineConfig { threads, ..tight() },
+                ..Plan::new(&a, &b, scheme)
+            })
+        };
+        let (one, four) = (with_threads(1), with_threads(4));
         for (x, y) in one.as_slice().iter().zip(four.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
@@ -1120,19 +848,81 @@ mod tests {
             ..Default::default()
         });
         for scheme in SCHEMES {
-            let a = Matrix::<f32>::random_uniform(11, 29, 41);
-            let b = Matrix::<f32>::random_uniform(29, 13, 43);
-            let sa = SplitMatrix::split(&a, scheme.split_scheme());
-            let sb = SplitMatrix::split(&b, scheme.split_scheme());
+            let (a, b) = raw_pair(11, 29, 13, 41);
             let c = Matrix::<f32>::random_uniform(11, 13, 45);
             for tk in [4usize, 8] {
-                let baseline = gemm_blocked(&sa, &sb, Some(&c), scheme, tk, tight());
-                let pb = prepare_b(&rt, &b, scheme.split_scheme(), tk, tight());
-                let d = gemm_blocked_prepared(&rt, &sa, &pb, Some(&c), scheme, tk, tight());
-                for (x, y) in d.as_slice().iter().zip(baseline.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{scheme:?} tk={tk}");
-                }
+                let pb = prepare_b_fused(&rt, &b, scheme.split_scheme(), tk, tight());
+                let plan = Plan {
+                    c: Some(&c),
+                    tk,
+                    cfg: tight(),
+                    ..Plan::new(&a, &pb, scheme)
+                };
+                let d = gemm(&rt, &plan);
+                assert_matches_oracle(&d, &a, &b, Some(&c), scheme, tk, (0, 29), "prepared B");
             }
+        }
+    }
+
+    #[test]
+    fn fused_entry_bit_identical_to_staged() {
+        // The raw-operand entry splits inside the pack; per element it
+        // must equal the scalar replay over ahead-of-time splits.
+        for scheme in SCHEMES {
+            let a = Matrix::<f32>::random_uniform(11, 29, 61);
+            let b = Matrix::<f32>::random_uniform(29, 13, 63);
+            let c = Matrix::<f32>::random_uniform(11, 13, 65);
+            for tk in [4usize, 8] {
+                let d = run(Plan {
+                    c: Some(&c),
+                    tk,
+                    cfg: tight(),
+                    ..Plan::new(&a, &b, scheme)
+                });
+                assert_matches_oracle(&d, &a, &b, Some(&c), scheme, tk, (0, 29), "raw entry");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_range_restarts_chunking_like_staged() {
+        // Split-K chunk boundaries land where the scalar replay over
+        // ahead-of-time splits puts them: full, interior, empty and tail
+        // slices, on a cache-off runtime.
+        let scheme = EmulationScheme::EgemmTc;
+        let a = Matrix::<f32>::random_uniform(6, 37, 67);
+        let b = Matrix::<f32>::random_uniform(37, 5, 69);
+        let rt = EngineRuntime::new(RuntimeConfig {
+            threads: 2,
+            cache_bytes: 0,
+            ..Default::default()
+        });
+        for range in [(0usize, 37usize), (13, 30), (8, 8), (5, 37)] {
+            let d = gemm(
+                &rt,
+                &Plan {
+                    k_range: Some(range),
+                    cfg: tight(),
+                    ..Plan::new(&a, &b, scheme)
+                },
+            );
+            assert_matches_oracle(&d, &a, &b, None, scheme, 8, range, "k range");
+        }
+    }
+
+    #[test]
+    fn fused_prepared_path_bit_identical() {
+        // The benchmark's argument-list entry point over a prepared B.
+        let rt = EngineRuntime::new(RuntimeConfig {
+            threads: 2,
+            ..Default::default()
+        });
+        for scheme in SCHEMES {
+            let (a, b) = raw_pair(11, 29, 13, 71);
+            let c = Matrix::<f32>::random_uniform(11, 13, 75);
+            let pb = prepare_b_fused(&rt, &b, scheme.split_scheme(), 8, tight());
+            let d = gemm_blocked_prepared_fused(&rt, &a, &pb, Some(&c), scheme, 8, tight());
+            assert_matches_oracle(&d, &a, &b, Some(&c), scheme, 8, (0, 29), "benchmark entry");
         }
     }
 
@@ -1141,82 +931,28 @@ mod tests {
     fn prepared_b_blocking_mismatch_rejected() {
         let rt = EngineRuntime::new(RuntimeConfig::default());
         let scheme = EmulationScheme::EgemmTc;
-        let a = Matrix::<f32>::random_uniform(8, 32, 51);
-        let b = Matrix::<f32>::random_uniform(32, 8, 53);
-        let sa = SplitMatrix::split(&a, scheme.split_scheme());
-        let pb = prepare_b(&rt, &b, scheme.split_scheme(), 8, tight());
+        let (a, b) = raw_pair(8, 32, 8, 51);
+        let pb = prepare_b_fused(&rt, &b, scheme.split_scheme(), 8, tight());
         // Same shapes, different kc (16 vs tight()'s clamped 8).
         let other = EngineConfig { kc: 16, ..tight() };
-        gemm_blocked_prepared(&rt, &sa, &pb, None, scheme, 8, other);
+        gemm_blocked_prepared_fused(&rt, &a, &pb, None, scheme, 8, other);
     }
 
     #[test]
-    fn fused_entry_bit_identical_to_staged() {
-        for scheme in SCHEMES {
-            let a = Matrix::<f32>::random_uniform(11, 29, 61);
-            let b = Matrix::<f32>::random_uniform(29, 13, 63);
-            let sa = SplitMatrix::split(&a, scheme.split_scheme());
-            let sb = SplitMatrix::split(&b, scheme.split_scheme());
-            let c = Matrix::<f32>::random_uniform(11, 13, 65);
-            for tk in [4usize, 8] {
-                let staged = gemm_blocked(&sa, &sb, Some(&c), scheme, tk, tight());
-                let fused = gemm_blocked_fused(&a, &b, Some(&c), scheme, tk, tight());
-                for (x, y) in fused.as_slice().iter().zip(staged.as_slice()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{scheme:?} tk={tk}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_range_restarts_chunking_like_staged() {
-        // Split-K chunk boundaries land identically whether the slice's
-        // operand elements were split ahead of time or on the fly.
+    #[should_panic(expected = "prepacked B requires a full k range")]
+    fn prepared_b_partial_k_range_rejected() {
+        let rt = EngineRuntime::new(RuntimeConfig::default());
         let scheme = EmulationScheme::EgemmTc;
-        let a = Matrix::<f32>::random_uniform(6, 37, 67);
-        let b = Matrix::<f32>::random_uniform(37, 5, 69);
-        let sa = SplitMatrix::split(&a, scheme.split_scheme());
-        let sb = SplitMatrix::split(&b, scheme.split_scheme());
-        let rt = EngineRuntime::new(RuntimeConfig {
-            threads: 2,
-            cache_bytes: 0,
-            ..Default::default()
-        });
-        for (k_lo, k_hi) in [(0usize, 37usize), (13, 30), (8, 8), (5, 37)] {
-            let staged = gemm_blocked_range(&sa, &sb, k_lo, k_hi, scheme, 8, tight());
-            let fused = gemm_blocked_range_fused_in(&rt, &a, &b, k_lo, k_hi, scheme, 8, tight());
-            for (x, y) in fused.as_slice().iter().zip(staged.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "[{k_lo}, {k_hi})");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_prepared_path_bit_identical() {
-        let rt = EngineRuntime::new(RuntimeConfig {
-            threads: 2,
-            ..Default::default()
-        });
-        for scheme in SCHEMES {
-            let a = Matrix::<f32>::random_uniform(11, 29, 71);
-            let b = Matrix::<f32>::random_uniform(29, 13, 73);
-            let sa = SplitMatrix::split(&a, scheme.split_scheme());
-            let sb = SplitMatrix::split(&b, scheme.split_scheme());
-            let c = Matrix::<f32>::random_uniform(11, 13, 75);
-            let baseline = gemm_blocked(&sa, &sb, Some(&c), scheme, 8, tight());
-            let pb = prepare_b_fused(&rt, &b, scheme.split_scheme(), 8, tight());
-            assert!(pb.split().is_none(), "fused prepare must not split");
-            let d = gemm_blocked_prepared_fused(&rt, &a, &pb, Some(&c), scheme, 8, tight());
-            for (x, y) in d.as_slice().iter().zip(baseline.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{scheme:?}");
-            }
-            // A staged-prepared B serves the fused A-side path too.
-            let pb_staged = prepare_b(&rt, &b, scheme.split_scheme(), 8, tight());
-            let d2 = gemm_blocked_prepared_fused(&rt, &a, &pb_staged, Some(&c), scheme, 8, tight());
-            for (x, y) in d2.as_slice().iter().zip(baseline.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{scheme:?} staged-prepared");
-            }
-        }
+        let (a, b) = raw_pair(8, 32, 8, 55);
+        let pb = prepare_b_fused(&rt, &b, scheme.split_scheme(), 8, tight());
+        gemm(
+            &rt,
+            &Plan {
+                k_range: Some((8, 32)),
+                cfg: tight(),
+                ..Plan::new(&a, &pb, scheme)
+            },
+        );
     }
 
     #[test]
@@ -1226,9 +962,14 @@ mod tests {
             cache_bytes: 0,
             ..Default::default()
         });
-        let a = Matrix::<f32>::random_uniform(8, 16, 81);
-        let b = Matrix::<f32>::random_uniform(16, 8, 83);
-        gemm_blocked_fused_in(&rt, &a, &b, None, EmulationScheme::EgemmTc, 8, tight());
+        let (a, b) = raw_pair(8, 16, 8, 81);
+        gemm(
+            &rt,
+            &Plan {
+                cfg: tight(),
+                ..Plan::new(&a, &b, EmulationScheme::EgemmTc)
+            },
+        );
         assert_eq!(
             rt.cache_stats().bytes_staging_saved,
             (12 * (8 * 16 + 16 * 8)) as u64

@@ -1,15 +1,19 @@
 //! Operand packing for the blocked execution engine.
 //!
-//! The microkernel consumes contiguous, zero-padded panels:
+//! The microkernel consumes contiguous, zero-padded panels of both split
+//! planes. Packing and splitting are one pass: each raw f32 element is
+//! split into its hi/lo parts straight into its packed position, and the
+//! layouts below hold for the hi plane and the lo plane alike.
 //!
 //! * **A block** — for a row range of `mcb` output rows and a k panel of
 //!   depth `kcb`, the plane is laid out as `ceil(mcb/MR)` row blocks of
-//!   `kcb x MR` column-major slivers: element `(rb, kk, r)` holds
-//!   `A[row(i0 + rb*MR + r), p0 + kk]`. Rows past `mcb` are zero.
+//!   `kcb x MR` column-major slivers: element `(rb, kk, r)` holds the
+//!   split of `A[row(i0 + rb*MR + r), p0 + kk]`. Rows past `mcb` are
+//!   zero.
 //! * **B panel** — for a column range of `ncb` output columns, the plane
 //!   is `ceil(ncb/NR)` strips of `kcb x NR` row-major slivers: element
-//!   `(sb, kk, c)` holds `B[p0 + kk, j0 + sb*NR + c]`. Columns past
-//!   `ncb` are zero.
+//!   `(sb, kk, c)` holds the split of `B[p0 + kk, j0 + sb*NR + c]`.
+//!   Columns past `ncb` are zero.
 //!
 //! Zero padding is numerically inert: each output element's accumulator
 //! only ever combines its own row/column lane, and padded lanes are never
@@ -17,7 +21,6 @@
 //! row-sampled entry point (`emulated_gemm_rows`) without a gather copy
 //! of A.
 
-use crate::split_matrix::SplitMatrix;
 use egemm_fp::{split_planes_f32, split_planes_f32_strided, SplitKernel, SplitScheme};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -30,73 +33,15 @@ pub(crate) const MR: usize = 4;
 /// for the operand loads and broadcasts.
 pub(crate) const NR: usize = 16;
 
-/// Pack one plane of A for the row range `rows_idx` (global A row indices
-/// of the `mcb` output rows) and k panel `[p0, p0 + kcb)`. `k` is A's row
-/// stride. `out` must hold `ceil(mcb/MR) * kcb * MR` elements.
-pub(crate) fn pack_a(
-    plane: &[f32],
-    k: usize,
-    rows_idx: &[usize],
-    p0: usize,
-    kcb: usize,
-    out: &mut [f32],
-) {
-    let mcb = rows_idx.len();
-    let row_blocks = mcb.div_ceil(MR);
-    for rb in 0..row_blocks {
-        let block = &mut out[rb * kcb * MR..(rb + 1) * kcb * MR];
-        for r in 0..MR {
-            let i = rb * MR + r;
-            if i < mcb {
-                let arow = &plane[rows_idx[i] * k + p0..rows_idx[i] * k + p0 + kcb];
-                for kk in 0..kcb {
-                    block[kk * MR + r] = arow[kk];
-                }
-            } else {
-                for kk in 0..kcb {
-                    block[kk * MR + r] = 0.0;
-                }
-            }
-        }
-    }
-}
-
-/// Pack one plane of B for the column range `[j0, j0 + ncb)` and k panel
-/// `[p0, p0 + kcb)`. `n` is B's row stride. `out` must hold
-/// `ceil(ncb/NR) * kcb * NR` elements.
-pub(crate) fn pack_b(
-    plane: &[f32],
-    n: usize,
-    j0: usize,
-    ncb: usize,
-    p0: usize,
-    kcb: usize,
-    out: &mut [f32],
-) {
-    let strips = ncb.div_ceil(NR);
-    for sb in 0..strips {
-        let strip = &mut out[sb * kcb * NR..(sb + 1) * kcb * NR];
-        let jbase = j0 + sb * NR;
-        let cols = NR.min(ncb - sb * NR);
-        for kk in 0..kcb {
-            let brow = &plane[(p0 + kk) * n + jbase..(p0 + kk) * n + jbase + cols];
-            let dst = &mut strip[kk * NR..kk * NR + NR];
-            dst[..cols].copy_from_slice(brow);
-            for d in dst[cols..].iter_mut() {
-                *d = 0.0;
-            }
-        }
-    }
-}
-
-/// Fused split+pack of A: read raw f32 rows and emit both packed planes
-/// directly — same layout as two [`pack_a`] calls over the planes of a
-/// [`SplitMatrix`], with no split matrix materialized in between. Each
-/// real row is split straight into its column-major sliver lane (stride
-/// `MR`); padded rows are zeroed in both planes. Bit-identity with the
-/// staged pipeline holds because the split is elementwise: splitting
-/// element `(i, p)` then packing it lands the exact bits that splitting
-/// the gathered row in place produces.
+/// Fused split+pack of A for the row range `rows_idx` (global A row
+/// indices of the `mcb` output rows) and k panel `[p0, p0 + kcb)`: read
+/// raw f32 rows (row stride `k`) and emit both packed planes of the
+/// A-block layout directly, with no split matrix materialized in
+/// between. Each real row is split straight into its column-major
+/// sliver lane (stride `MR`); padded rows are zeroed in both planes.
+/// The split is elementwise, so each packed element holds exactly the
+/// bits the scalar split of its source element produces. `hi` and `lo`
+/// must hold `ceil(mcb/MR) * kcb * MR` elements.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_a_fused(
     src: &[f32],
@@ -139,10 +84,12 @@ pub(crate) fn pack_a_fused(
     }
 }
 
-/// Fused split+pack of B: read raw f32 rows and emit both packed planes
-/// directly — same layout as two [`pack_b`] calls over the planes of a
-/// [`SplitMatrix`]. Each row segment is split contiguously into its
-/// strip sliver; padding columns are zeroed in both planes.
+/// Fused split+pack of B for the column range `[j0, j0 + ncb)` and k
+/// panel `[p0, p0 + kcb)`: read raw f32 rows (row stride `n`) and emit
+/// both packed planes of the B-panel layout directly. Each row segment
+/// is split contiguously into its strip sliver; padding columns are
+/// zeroed in both planes. `hi` and `lo` must hold
+/// `ceil(ncb/NR) * kcb * NR` elements.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_b_fused(
     src: &[f32],
@@ -276,15 +223,15 @@ impl PanelStore {
 /// Both planes of a whole B operand packed once for reuse across calls.
 ///
 /// Layout: `k.div_ceil(kc)` panels, each holding `n.div_ceil(NR)` strips
-/// of `kcb x NR` row-major slivers — exactly what [`pack_b`] produces for
-/// the full column range of one k panel. Panels are stored at the stride
+/// of `kcb x NR` row-major slivers — exactly what [`pack_b_fused`]
+/// produces for the full column range of one k panel. Panels are stored at the stride
 /// of a *full* panel (`strips * kc * NR`) so panel offsets don't depend
 /// on the ragged depth of the final panel.
 ///
 /// A macro-tile whose column origin `jc` is NR-aligned and whose k grid
 /// starts at 0 with the same `kc` reads its slivers at global strip
 /// `jc/NR + sb`, panel `pc/kc` — bit-for-bit the slivers a per-tile
-/// [`pack_b`] call would have produced, because strip contents depend
+/// [`pack_b_fused`] call would have produced, because strip contents depend
 /// only on the global column range and zero padding matches at the right
 /// edge. The engine asserts those alignment conditions before taking the
 /// prepacked path.
@@ -299,56 +246,9 @@ pub(crate) struct PackedB {
 }
 
 impl PackedB {
-    /// Pack both planes of `split` with panel depth `kc` (>= 1, already
-    /// clamped to the chunk grid by the caller).
-    pub(crate) fn pack(split: &SplitMatrix, kc: usize) -> PackedB {
-        assert!(kc >= 1, "panel depth must be positive");
-        let k = split.rows();
-        let n = split.cols();
-        let strips = n.div_ceil(NR);
-        let panels = k.div_ceil(kc);
-        let panel_stride = strips * kc * NR;
-        let mut hi = vec![0f32; panels * panel_stride];
-        let mut lo = vec![0f32; panels * panel_stride];
-        let mut pc = 0usize;
-        while pc < k {
-            let kcb = kc.min(k - pc);
-            let base = (pc / kc) * panel_stride;
-            let len = strips * kcb * NR;
-            pack_b(
-                split.plane(false),
-                n,
-                0,
-                n,
-                pc,
-                kcb,
-                &mut hi[base..base + len],
-            );
-            pack_b(
-                split.plane(true),
-                n,
-                0,
-                n,
-                pc,
-                kcb,
-                &mut lo[base..base + len],
-            );
-            pc += kcb;
-        }
-        PackedB {
-            n,
-            k,
-            kc,
-            strips,
-            panel_stride,
-            hi,
-            lo,
-        }
-    }
-
-    /// Fused split+pack of a raw operand with panel depth `kc`: produces
-    /// bit-for-bit the [`PackedB::pack`] of `SplitMatrix::split_with(src,
-    /// scheme, kernel)` without ever materializing the split planes.
+    /// Split and pack both planes of a raw operand with panel depth `kc`
+    /// (>= 1, already clamped to the chunk grid by the caller), never
+    /// materializing the split planes.
     pub(crate) fn pack_fused(
         src: &egemm_matrix::Matrix<f32>,
         scheme: SplitScheme,
@@ -442,122 +342,78 @@ impl PackedB {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use egemm_fp::SplitScheme;
     use egemm_matrix::Matrix;
 
-    #[test]
-    fn pack_a_layout_and_padding() {
-        // 3 rows (one short of MR), k = 5, panel [1, 4).
-        let k = 5;
-        let plane: Vec<f32> = (0..3 * k).map(|x| x as f32).collect();
-        let rows_idx = [0usize, 1, 2];
-        let kcb = 3;
-        let mut out = vec![-1.0f32; kcb * MR];
-        pack_a(&plane, k, &rows_idx, 1, kcb, &mut out);
-        for kk in 0..kcb {
-            for r in 0..MR {
-                let want = if r < 3 { plane[r * k + 1 + kk] } else { 0.0 };
-                assert_eq!(out[kk * MR + r], want, "kk={kk} r={r}");
-            }
+    const SCHEMES: [SplitScheme; 2] = [SplitScheme::Round, SplitScheme::Truncate];
+    const KERNELS: [SplitKernel; 2] = [SplitKernel::Scalar, SplitKernel::Auto];
+
+    /// The scalar split of `x`, hi or lo part, widened to binary32.
+    fn part(scheme: SplitScheme, x: f32, lo_plane: bool) -> f32 {
+        let s = scheme.split(x);
+        if lo_plane {
+            s.lo.to_f32()
+        } else {
+            s.hi.to_f32()
         }
     }
 
-    #[test]
-    fn pack_a_row_gather() {
-        let k = 4;
-        let plane: Vec<f32> = (0..6 * k).map(|x| x as f32).collect();
-        let rows_idx = [5usize, 2];
-        let mut out = vec![0.0f32; 2 * MR];
-        pack_a(&plane, k, &rows_idx, 2, 2, &mut out);
-        assert_eq!(out[0], plane[5 * k + 2]);
-        assert_eq!(out[1], plane[2 * k + 2]);
-        assert_eq!(out[MR], plane[5 * k + 3]);
-    }
-
-    #[test]
-    fn pack_b_layout_and_padding() {
-        // n = 10, columns [3, 3+9) span two strips, second one ragged.
-        let n = 10;
-        let kcb = 2;
-        let plane: Vec<f32> = (0..4 * n).map(|x| x as f32).collect();
-        let ncb = 9usize;
+    /// The documented B-panel layout over `[j0, j0 + ncb)` x `[p0, p0 +
+    /// kcb)` of `src`, built element by element from the scalar split.
+    fn want_b(
+        src: &Matrix<f32>,
+        scheme: SplitScheme,
+        lo_plane: bool,
+        (j0, ncb): (usize, usize),
+        (p0, kcb): (usize, usize),
+    ) -> Vec<f32> {
         let strips = ncb.div_ceil(NR);
-        let mut out = vec![-1.0f32; strips * kcb * NR];
-        pack_b(&plane, n, 3, ncb, 1, kcb, &mut out);
+        let mut want = vec![0f32; strips * kcb * NR];
         for sb in 0..strips {
             for kk in 0..kcb {
                 for c in 0..NR {
                     let j = sb * NR + c;
-                    let want = if j < ncb {
-                        plane[(1 + kk) * n + 3 + j]
-                    } else {
-                        0.0
-                    };
-                    assert_eq!(
-                        out[sb * kcb * NR + kk * NR + c],
-                        want,
-                        "sb={sb} kk={kk} c={c}"
-                    );
+                    if j < ncb {
+                        let x = src.get(p0 + kk, j0 + j);
+                        want[sb * kcb * NR + kk * NR + c] = part(scheme, x, lo_plane);
+                    }
                 }
             }
         }
+        want
     }
 
-    #[test]
-    fn packed_b_slivers_match_per_tile_pack() {
-        // A ragged shape: k = 23 over kc = 8 (final panel depth 7),
-        // n = 37 over NR strips (final strip ragged). Every sliver of
-        // the whole-operand pack must equal the sliver a per-tile pack
-        // over any NR-aligned column range would produce.
-        let (k, n, kc) = (23usize, 37usize, 8usize);
-        let src = Matrix::<f32>::random_uniform(k, n, 42);
-        let split = SplitMatrix::split(&src, SplitScheme::Round);
-        let packed = PackedB::pack(&split, kc);
-        assert_eq!((packed.k(), packed.n(), packed.kc()), (k, n, kc));
-        for lo_plane in [false, true] {
-            let plane = split.plane(lo_plane);
-            // Tile column origin jc = 16 (one NR strip in), width 21
-            // (spans strips 1 and the ragged final strip 2).
-            let (jc, ncb) = (NR, (n - NR).min(2 * NR));
-            let strips = ncb.div_ceil(NR);
-            let mut pc = 0usize;
-            while pc < k {
-                let kcb = kc.min(k - pc);
-                let mut tile = vec![-1.0f32; strips * kcb * NR];
-                pack_b(plane, n, jc, ncb, pc, kcb, &mut tile);
-                for sb in 0..strips {
-                    let want = &tile[sb * kcb * NR..(sb + 1) * kcb * NR];
-                    let got = packed.sliver(lo_plane, pc / kc, kcb, jc / NR + sb);
-                    assert_eq!(got, want, "lo={lo_plane} pc={pc} sb={sb}");
-                }
-                pc += kcb;
+    /// The documented A-panel layout of rows `rows_idx` x `[p0, p0 +
+    /// kcb)` of `src`, built element by element from the scalar split.
+    fn want_a(
+        src: &Matrix<f32>,
+        scheme: SplitScheme,
+        lo_plane: bool,
+        rows_idx: &[usize],
+        (p0, kcb): (usize, usize),
+    ) -> Vec<f32> {
+        let blocks = rows_idx.len().div_ceil(MR);
+        let mut want = vec![0f32; blocks * kcb * MR];
+        for (i, &row) in rows_idx.iter().enumerate() {
+            for kk in 0..kcb {
+                let x = src.get(row, p0 + kk);
+                want[(i / MR) * kcb * MR + kk * MR + i % MR] = part(scheme, x, lo_plane);
             }
         }
+        want
     }
 
-    #[test]
-    fn pack_a_fused_bit_identical_to_staged() {
-        // Ragged everything: 7 rows (MR padding), gathered out of order,
-        // panel offset 2, depth 5. Fused output must equal pack_a over
-        // each plane of the staged split, for both kernels and schemes.
-        let k = 9;
-        let src = Matrix::<f32>::random_uniform(11, k, 7);
-        let split_src: Vec<usize> = vec![10, 3, 0, 7, 1, 4, 9];
-        let (p0, kcb) = (2usize, 5usize);
-        let blocks = split_src.len().div_ceil(MR);
-        for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
-            for kernel in [egemm_fp::SplitKernel::Scalar, egemm_fp::SplitKernel::Auto] {
-                let split = SplitMatrix::split_with(&src, scheme, kernel);
-                let mut want_hi = vec![-1.0f32; blocks * kcb * MR];
-                let mut want_lo = vec![-1.0f32; blocks * kcb * MR];
-                pack_a(split.plane(false), k, &split_src, p0, kcb, &mut want_hi);
-                pack_a(split.plane(true), k, &split_src, p0, kcb, &mut want_lo);
+    /// Run `pack_a_fused` over `rows_idx` x `[p0, p0 + kcb)` and assert
+    /// both planes equal the documented layout of the scalar split.
+    fn check_pack_a(src: &Matrix<f32>, rows_idx: &[usize], (p0, kcb): (usize, usize)) {
+        let blocks = rows_idx.len().div_ceil(MR);
+        for scheme in SCHEMES {
+            for kernel in KERNELS {
                 let mut hi = vec![-1.0f32; blocks * kcb * MR];
                 let mut lo = vec![-1.0f32; blocks * kcb * MR];
                 pack_a_fused(
                     src.as_slice(),
-                    k,
-                    &split_src,
+                    src.cols(),
+                    rows_idx,
                     p0,
                     kcb,
                     scheme,
@@ -565,35 +421,26 @@ mod tests {
                     &mut hi,
                     &mut lo,
                 );
-                assert_eq!(
-                    (hi, lo),
-                    (want_hi, want_lo),
-                    "scheme={scheme:?} kernel={kernel:?}"
-                );
+                for (lo_plane, got) in [(false, hi), (true, lo)] {
+                    let want = want_a(src, scheme, lo_plane, rows_idx, (p0, kcb));
+                    assert_eq!(got, want, "{scheme:?} {kernel:?} lo={lo_plane}");
+                }
             }
         }
     }
 
-    #[test]
-    fn pack_b_fused_bit_identical_to_staged() {
-        // Column range spans a full strip plus a ragged one; panel
-        // offset 1 of depth 3 inside a k=6 operand.
-        let n = 21;
-        let src = Matrix::<f32>::random_uniform(6, n, 13);
-        let (j0, ncb, p0, kcb) = (0usize, n, 1usize, 3usize);
+    /// Run `pack_b_fused` over `[j0, j0 + ncb)` x `[p0, p0 + kcb)` and
+    /// assert both planes equal the documented layout of the scalar
+    /// split.
+    fn check_pack_b(src: &Matrix<f32>, (j0, ncb): (usize, usize), (p0, kcb): (usize, usize)) {
         let strips = ncb.div_ceil(NR);
-        for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
-            for kernel in [egemm_fp::SplitKernel::Scalar, egemm_fp::SplitKernel::Auto] {
-                let split = SplitMatrix::split_with(&src, scheme, kernel);
-                let mut want_hi = vec![-1.0f32; strips * kcb * NR];
-                let mut want_lo = vec![-1.0f32; strips * kcb * NR];
-                pack_b(split.plane(false), n, j0, ncb, p0, kcb, &mut want_hi);
-                pack_b(split.plane(true), n, j0, ncb, p0, kcb, &mut want_lo);
+        for scheme in SCHEMES {
+            for kernel in KERNELS {
                 let mut hi = vec![-1.0f32; strips * kcb * NR];
                 let mut lo = vec![-1.0f32; strips * kcb * NR];
                 pack_b_fused(
                     src.as_slice(),
-                    n,
+                    src.cols(),
                     j0,
                     ncb,
                     p0,
@@ -603,39 +450,148 @@ mod tests {
                     &mut hi,
                     &mut lo,
                 );
-                assert_eq!(
-                    (hi, lo),
-                    (want_hi, want_lo),
-                    "scheme={scheme:?} kernel={kernel:?}"
-                );
+                for (lo_plane, got) in [(false, hi), (true, lo)] {
+                    let want = want_b(src, scheme, lo_plane, (j0, ncb), (p0, kcb));
+                    assert_eq!(got, want, "{scheme:?} {kernel:?} lo={lo_plane}");
+                }
             }
         }
     }
 
     #[test]
-    fn packed_b_fused_bit_identical_to_staged() {
-        // Same ragged shape as the sliver test: final panel depth 7,
-        // final strip ragged. The fused whole-operand pack must be
-        // byte-for-byte the staged split-then-pack.
+    fn pack_a_layout_and_padding() {
+        // 3 rows (one short of MR), k = 5, panel [1, 4).
+        let src = Matrix::<f32>::random_uniform(3, 5, 5);
+        check_pack_a(&src, &[0, 1, 2], (1, 3));
+    }
+
+    #[test]
+    fn pack_a_row_gather() {
+        let k = 4;
+        let src = Matrix::<f32>::random_uniform(6, k, 3);
+        let rows_idx = [5usize, 2];
+        let mut hi = vec![0.0f32; 2 * MR];
+        let mut lo = vec![0.0f32; 2 * MR];
+        let scheme = SplitScheme::Round;
+        pack_a_fused(
+            src.as_slice(),
+            k,
+            &rows_idx,
+            2,
+            2,
+            scheme,
+            SplitKernel::Auto,
+            &mut hi,
+            &mut lo,
+        );
+        assert_eq!(hi[0], part(scheme, src.get(5, 2), false));
+        assert_eq!(hi[1], part(scheme, src.get(2, 2), false));
+        assert_eq!(lo[MR], part(scheme, src.get(5, 3), true));
+    }
+
+    #[test]
+    fn pack_b_layout_and_padding() {
+        // n = 12, columns [3, 3 + 9) span two strips, the second one
+        // ragged; panel offset 1 of depth 2 inside a k = 4 operand.
+        let src = Matrix::<f32>::random_uniform(4, 12, 11);
+        check_pack_b(&src, (3, 9), (1, 2));
+    }
+
+    #[test]
+    fn packed_b_slivers_match_per_tile_pack() {
+        // A ragged shape: k = 23 over kc = 8 (final panel depth 7),
+        // n = 37 over NR strips (final strip ragged). Every sliver of
+        // the whole-operand pack must equal the sliver a per-tile pack
+        // over an NR-aligned column range produces.
         let (k, n, kc) = (23usize, 37usize, 8usize);
         let src = Matrix::<f32>::random_uniform(k, n, 42);
-        for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
-            for kernel in [egemm_fp::SplitKernel::Scalar, egemm_fp::SplitKernel::Auto] {
-                let split = SplitMatrix::split_with(&src, scheme, kernel);
-                let staged = PackedB::pack(&split, kc);
-                let fused = PackedB::pack_fused(&src, scheme, kernel, kc);
+        // Tile column origin jc = 16 (one NR strip in), width 21 (spans
+        // strip 1 and the ragged final strip 2).
+        let (jc, ncb) = (NR, (n - NR).min(2 * NR));
+        let strips = ncb.div_ceil(NR);
+        for scheme in SCHEMES {
+            for kernel in KERNELS {
+                let packed = PackedB::pack_fused(&src, scheme, kernel, kc);
+                assert_eq!((packed.k(), packed.n(), packed.kc()), (k, n, kc));
+                let mut pc = 0usize;
+                while pc < k {
+                    let kcb = kc.min(k - pc);
+                    let mut hi = vec![-1.0f32; strips * kcb * NR];
+                    let mut lo = vec![-1.0f32; strips * kcb * NR];
+                    pack_b_fused(
+                        src.as_slice(),
+                        n,
+                        jc,
+                        ncb,
+                        pc,
+                        kcb,
+                        scheme,
+                        kernel,
+                        &mut hi,
+                        &mut lo,
+                    );
+                    for (lo_plane, tile) in [(false, &hi), (true, &lo)] {
+                        for sb in 0..strips {
+                            let want = &tile[sb * kcb * NR..(sb + 1) * kcb * NR];
+                            let got = packed.sliver(lo_plane, pc / kc, kcb, jc / NR + sb);
+                            assert_eq!(got, want, "lo={lo_plane} pc={pc} sb={sb}");
+                        }
+                    }
+                    pc += kcb;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_a_fused_bit_identical_to_staged() {
+        // Ragged everything: 7 rows (the second row block one short of
+        // MR), gathered out of order, panel offset 2, depth 5. Both
+        // planes must equal the layout of the ahead-of-time scalar
+        // split, for both schemes and kernels.
+        let src = Matrix::<f32>::random_uniform(11, 9, 7);
+        check_pack_a(&src, &[10, 3, 0, 7, 1, 4, 9], (2, 5));
+    }
+
+    #[test]
+    fn pack_b_fused_bit_identical_to_staged() {
+        // The column range spans a full strip plus a ragged one; panel
+        // offset 1 of depth 3 inside a k = 6 operand.
+        let src = Matrix::<f32>::random_uniform(6, 21, 13);
+        check_pack_b(&src, (0, 21), (1, 3));
+    }
+
+    #[test]
+    fn packed_b_fused_bit_identical_to_staged() {
+        // Same ragged shape as the sliver test: final panel depth 7,
+        // final strip ragged. Every sliver of the whole-operand pack
+        // must be the layout of the ahead-of-time scalar split.
+        let (k, n, kc) = (23usize, 37usize, 8usize);
+        let src = Matrix::<f32>::random_uniform(k, n, 42);
+        for scheme in SCHEMES {
+            for kernel in KERNELS {
+                let packed = PackedB::pack_fused(&src, scheme, kernel, kc);
                 assert_eq!(
-                    fused.hi, staged.hi,
-                    "hi scheme={scheme:?} kernel={kernel:?}"
+                    (packed.k(), packed.n(), packed.kc(), packed.bytes()),
+                    (k, n, kc, 2 * 4 * k.div_ceil(kc) * kc * n.div_ceil(NR) * NR)
                 );
-                assert_eq!(
-                    fused.lo, staged.lo,
-                    "lo scheme={scheme:?} kernel={kernel:?}"
-                );
-                assert_eq!(
-                    (fused.k(), fused.n(), fused.kc(), fused.bytes()),
-                    (staged.k(), staged.n(), staged.kc(), staged.bytes())
-                );
+                let mut pc = 0usize;
+                while pc < k {
+                    let kcb = kc.min(k - pc);
+                    for sb in 0..n.div_ceil(NR) {
+                        let cols = (sb * NR, NR.min(n - sb * NR));
+                        for lo_plane in [false, true] {
+                            let want = want_b(&src, scheme, lo_plane, cols, (pc, kcb));
+                            let got = packed.sliver(lo_plane, pc / kc, kcb, sb);
+                            assert_eq!(
+                                got,
+                                &want[..],
+                                "{scheme:?} {kernel:?} lo={lo_plane} pc={pc} sb={sb}"
+                            );
+                        }
+                    }
+                    pc += kcb;
+                }
             }
         }
     }
@@ -680,8 +636,7 @@ mod tests {
     #[test]
     fn packed_b_bytes_accounting() {
         let src = Matrix::<f32>::random_uniform(8, 16, 1);
-        let split = SplitMatrix::split(&src, SplitScheme::Round);
-        let packed = PackedB::pack(&split, 8);
+        let packed = PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, 8);
         // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes.
         assert_eq!(packed.bytes(), 2 * 4 * 8 * 16);
     }

@@ -2,9 +2,8 @@
 //!
 //! The blocked engine used to rebuild its whole execution environment on
 //! every call — resolve thread-count env vars, spawn a fresh
-//! `thread::scope`, split both operands element-by-element, and re-pack
-//! every panel. [`EngineRuntime`] hoists all of that out of the call
-//! path:
+//! `thread::scope`, and re-split and re-pack every B panel.
+//! [`EngineRuntime`] hoists all of that out of the call path:
 //!
 //! * **Worker pool** — a fixed set of parked threads created lazily and
 //!   reused across calls. Dispatch hands the pool one type-erased job
@@ -15,9 +14,9 @@
 //! * **Environment** — `EGEMM_THREADS` / `RAYON_NUM_THREADS` and
 //!   `EGEMM_CACHE_BYTES` are read once at runtime construction
 //!   ([`RuntimeConfig::from_env`]), never per call.
-//! * **Prepared-operand cache** — see [`super::cache`]: split planes and
-//!   packed B panels keyed by content fingerprint, plus the explicit
-//!   [`PreparedOperand`] handle for zero-lookup reuse.
+//! * **Prepared-operand cache** — see [`super::cache`]: packed B panels
+//!   keyed by content fingerprint, plus the explicit [`PreparedOperand`]
+//!   handle for zero-lookup reuse.
 //!
 //! None of this can change an output bit: the pool runs the exact worker
 //! function `thread::scope` used to run (tile regions stay disjoint and
@@ -30,7 +29,6 @@ use super::jit;
 use super::pack::PackedB;
 use super::sched::{SchedCounters, SchedStats};
 use crate::envcfg::{self, EnvNum};
-use crate::split_matrix::SplitMatrix;
 use crate::telemetry;
 use egemm_fp::{SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
@@ -70,7 +68,7 @@ pub struct RuntimeConfig {
     pub split_kernel: SplitKernel,
 }
 
-/// Default cache bound: 256 MiB of split planes + packed panels.
+/// Default cache bound: 256 MiB of packed panels.
 const DEFAULT_CACHE_BYTES: usize = 256 << 20;
 
 impl Default for RuntimeConfig {
@@ -161,28 +159,17 @@ impl RuntimeConfig {
     }
 }
 
-/// A packed (and, on the staged pipeline, split) matrix handed back by
-/// [`crate::Egemm::prepare`] for zero-lookup reuse across calls. The
-/// handle pins its data: it stays valid even after cache eviction.
-///
-/// The fused pipeline prepares the packed panels straight from the raw
-/// f32 operand, so `split` is `None` there — the handle pins roughly
-/// half the bytes a staged preparation would.
+/// A B operand's packed panels, split straight from the raw f32 data,
+/// handed back by [`crate::Egemm::prepare`] for zero-lookup reuse across
+/// calls. The handle pins its data: it stays valid even after cache
+/// eviction.
 #[derive(Clone)]
 pub struct PreparedOperand {
-    pub(crate) split: Option<Arc<SplitMatrix>>,
     pub(crate) packed: Arc<PackedB>,
     pub(crate) scheme: SplitScheme,
 }
 
 impl PreparedOperand {
-    /// The split planes (shared with the cache), if the operand was
-    /// prepared through the staged pipeline. Fused preparations never
-    /// materialize them.
-    pub fn split(&self) -> Option<&SplitMatrix> {
-        self.split.as_deref()
-    }
-
     /// The split scheme the operand was prepared with.
     pub fn scheme(&self) -> SplitScheme {
         self.scheme
@@ -198,11 +185,9 @@ impl PreparedOperand {
         self.packed.n()
     }
 
-    /// Resident bytes this handle pins (packed panels, plus split
-    /// planes when staged).
+    /// Resident bytes this handle pins (both packed planes).
     pub fn bytes(&self) -> usize {
-        let split = self.split.as_ref().map_or(0, |s| 12 * s.rows() * s.cols());
-        split + self.packed.bytes()
+        self.packed.bytes()
     }
 }
 
@@ -212,7 +197,6 @@ impl std::fmt::Debug for PreparedOperand {
             .field("rows", &self.rows())
             .field("cols", &self.cols())
             .field("scheme", &self.scheme)
-            .field("fused", &self.split.is_none())
             .field("bytes", &self.bytes())
             .finish()
     }
@@ -279,7 +263,7 @@ impl EngineRuntime {
     }
 
     /// Lifetime cache counters (hits/misses/evictions/resident bytes,
-    /// plus how many splits and packs actually executed, plus the
+    /// plus how many packs actually executed, plus the
     /// compiled-kernel cache's compiles/hits/compile-time/code-bytes).
     pub fn cache_stats(&self) -> CacheStats {
         let mut s = self.cache.stats();
@@ -310,44 +294,9 @@ impl EngineRuntime {
         &self.sched
     }
 
-    /// Split `src` through the cache: a content-fingerprint hit returns
-    /// the resident planes without touching the O(N²) split.
-    pub(crate) fn split_cached(&self, src: &Matrix<f32>, scheme: SplitScheme) -> Arc<SplitMatrix> {
-        let key = key_of(src, scheme);
-        let entry = self.cache.entry_for_key(key);
-        self.cache.split_of(key, &entry, || {
-            SplitMatrix::split_with(src, scheme, self.split_kernel)
-        })
-    }
-
-    /// Split `src` and pack its B panels for blocking depth `kc`
-    /// (already clamped to the chunk grid), both through the cache —
-    /// the staged reference pipeline.
-    pub(crate) fn prepare_b(
-        &self,
-        src: &Matrix<f32>,
-        scheme: SplitScheme,
-        kc: usize,
-    ) -> PreparedOperand {
-        let key = key_of(src, scheme);
-        let entry = self.cache.entry_for_key(key);
-        let split = self.cache.split_of(key, &entry, || {
-            SplitMatrix::split_with(src, scheme, self.split_kernel)
-        });
-        let packed = self
-            .cache
-            .get_or_pack(key, &entry, kc, || PackedB::pack(&split, kc));
-        PreparedOperand {
-            split: Some(split),
-            packed,
-            scheme,
-        }
-    }
-
     /// Pack `src`'s B panels straight from the raw f32 data for
-    /// blocking depth `kc`, through the cache, never materializing the
-    /// split planes. Bit-identical to [`prepare_b`](Self::prepare_b) at
-    /// half the resident bytes.
+    /// blocking depth `kc` (already clamped to the chunk grid), through
+    /// the cache, never materializing the split planes.
     pub(crate) fn prepare_b_fused(
         &self,
         src: &Matrix<f32>,
@@ -356,18 +305,14 @@ impl EngineRuntime {
     ) -> PreparedOperand {
         let key = key_of(src, scheme);
         let entry = self.cache.entry_for_key(key);
-        let packed = self.cache.get_or_pack_fused(key, &entry, kc, || {
+        let packed = self.cache.get_or_pack(key, &entry, kc, || {
             PackedB::pack_fused(src, scheme, self.split_kernel, kc)
         });
-        PreparedOperand {
-            split: None,
-            packed,
-            scheme,
-        }
+        PreparedOperand { packed, scheme }
     }
 
-    /// Tally split-plane bytes the fused path avoided materializing
-    /// outside the cache (per-tile fused packs inside the workers).
+    /// Tally split-plane bytes the per-panel fused packs inside the
+    /// workers avoided materializing.
     pub(crate) fn note_staging_saved(&self, bytes: u64) {
         self.cache.note_staging_saved(bytes);
     }

@@ -122,7 +122,6 @@ pub fn crossover_k(scheme: EmulationScheme, r: f64, k_max: usize) -> Option<usiz
 mod tests {
     use super::*;
     use crate::emulation::emulated_gemm;
-    use crate::split_matrix::SplitMatrix;
     use egemm_fp::max_abs_error;
     use egemm_matrix::{gemm_f64_of_f32, Matrix};
 
@@ -170,9 +169,7 @@ mod tests {
                 let a = Matrix::<f32>::random_uniform(32, k, 1);
                 let b = Matrix::<f32>::random_uniform(k, 32, 2);
                 let truth = gemm_f64_of_f32(&a, &b).to_f64_vec();
-                let sa = SplitMatrix::split(&a, scheme.split_scheme());
-                let sb = SplitMatrix::split(&b, scheme.split_scheme());
-                let d = emulated_gemm(&sa, &sb, None, scheme);
+                let d = emulated_gemm(&a, &b, None, scheme);
                 let measured = max_abs_error(&d.to_f64_vec(), &truth);
                 let bound = dot_error_bound(scheme, k, 1.0);
                 assert!(

@@ -1,19 +1,18 @@
 //! The top-level EGEMM-TC API.
 //!
 //! [`Egemm`] ties the pipeline together the way the paper's system does:
-//! data split on the CUDA-core side (host, O(N²)), tiled emulated GEMM on
-//! the Tensor-Core side (functional executor, O(N³)), and the timing layer
-//! costing the kernel the SASS generator would emit. [`Egemm::auto`] runs
-//! the §6 analytic model to pick the tiling for the device.
+//! the O(N²) data split (the paper's CUDA-core side, fused here into the
+//! engine's panel pack), tiled emulated GEMM on the Tensor-Core side
+//! (functional executor, O(N³)), and the timing layer costing the kernel
+//! the SASS generator would emit. [`Egemm::auto`] runs the §6 analytic
+//! model to pick the tiling for the device.
 
 use crate::analytic::{solve_tiling, AnalyticModel};
 use crate::config::TilingConfig;
 use crate::emulation::EmulationScheme;
-use crate::engine;
-use crate::engine::{EngineRuntime, PreparedOperand};
+use crate::engine::{self, EngineRuntime, Plan, PreparedOperand};
 use crate::kernel::build_kernel;
 pub use crate::kernel::KernelOpts;
-use crate::split_matrix::SplitMatrix;
 use crate::telemetry::{self, metrics, probe, GemmReport};
 use egemm_matrix::{GemmShape, Matrix};
 use egemm_tcsim::{kernel_time, DeviceSpec, KernelTiming};
@@ -149,30 +148,28 @@ impl Egemm {
     /// Pack `b` for reuse as the right-hand operand of
     /// [`Egemm::gemm_prepared`]. The preparation runs at most once per
     /// distinct content; the handle afterwards skips even the cache
-    /// lookup (and survives cache eviction). On the default fused
-    /// pipeline the panels are packed straight from the raw f32 data —
-    /// no split matrix is materialized; set
-    /// [`crate::EngineConfig::staged`] to route through the staged
-    /// split-then-pack reference instead (bit-identical panels, twice
-    /// the staging traffic and residency).
+    /// lookup (and survives cache eviction). The panels are split and
+    /// packed straight from the raw f32 data — no split matrix is
+    /// materialized.
     pub fn prepare(&self, b: &Matrix<f32>) -> PreparedOperand {
-        if self.opts.engine.staged {
-            engine::prepare_b(
-                &self.runtime,
-                b,
-                self.scheme.split_scheme(),
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
-        } else {
-            engine::prepare_b_fused(
-                &self.runtime,
-                b,
-                self.scheme.split_scheme(),
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
-        }
+        engine::prepare_b_fused(
+            &self.runtime,
+            b,
+            self.scheme.split_scheme(),
+            TilingConfig::TC.k,
+            self.opts.engine,
+        )
+    }
+
+    /// Run `plan` on this instance's runtime under its engine config.
+    pub(crate) fn run(&self, plan: Plan<'_>) -> Matrix<f32> {
+        engine::gemm(
+            &self.runtime,
+            &Plan {
+                cfg: self.opts.engine,
+                ..plan
+            },
+        )
     }
 
     /// `D = A·B (+ C)` with a prepared B operand: bit-identical to
@@ -197,28 +194,10 @@ impl Egemm {
         let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
         let mwin = Egemm::metrics_begin();
         let window = self.trace_begin();
-        let d = if self.opts.engine.staged {
-            let sa = self.runtime.split_cached(a, self.scheme.split_scheme());
-            engine::gemm_blocked_prepared(
-                &self.runtime,
-                &sa,
-                b,
-                c,
-                self.scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
-        } else {
-            engine::gemm_blocked_prepared_fused(
-                &self.runtime,
-                a,
-                b,
-                c,
-                self.scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
-        };
+        let d = self.run(Plan {
+            c,
+            ..Plan::new(a, b, self.scheme)
+        });
         let report = self.trace_end(
             window,
             format!("gemm_prepared {}x{}x{}", shape.m, shape.n, shape.k),
@@ -248,52 +227,16 @@ impl Egemm {
         let shape = GemmShape::new(a.rows(), b.cols(), a.cols());
         let mwin = Egemm::metrics_begin();
         let window = self.trace_begin();
-        // CUDA-core phase analogue: operand preparation through the
-        // runtime's prepared-operand cache — a content hit on B skips
-        // its pack entirely. The default fused pipeline packs B straight
-        // from the raw f32 data and splits A per tile inside the
-        // workers' pack; the staged knob restores the §3.2-literal
-        // O(N^2) up-front split of both operands (the bit-identity
-        // reference).
-        let scheme = self.scheme.split_scheme();
-        let d = if self.opts.engine.staged {
-            let sa = self.runtime.split_cached(a, scheme);
-            let pb = engine::prepare_b(
-                &self.runtime,
-                b,
-                scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            );
-            // Tensor-core phase: O(N^3) tiled emulated GEMM on the
-            // blocked engine, with this instance's blocking config.
-            engine::gemm_blocked_prepared(
-                &self.runtime,
-                &sa,
-                &pb,
-                c,
-                self.scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
-        } else {
-            let pb = engine::prepare_b_fused(
-                &self.runtime,
-                b,
-                scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            );
-            engine::gemm_blocked_prepared_fused(
-                &self.runtime,
-                a,
-                &pb,
-                c,
-                self.scheme,
-                TilingConfig::TC.k,
-                self.opts.engine,
-            )
-        };
+        // CUDA-core phase analogue: B's split-and-pack through the
+        // runtime's prepared-operand cache — a content hit skips it
+        // entirely. A is split per panel inside the workers' pack.
+        let pb = self.prepare(b);
+        // Tensor-core phase: O(N^3) tiled emulated GEMM on the blocked
+        // engine, with this instance's blocking config.
+        let d = self.run(Plan {
+            c,
+            ..Plan::new(a, &pb, self.scheme)
+        });
         let report = self.trace_end(window, format!("gemm {}x{}x{}", shape.m, shape.n, shape.k));
         Egemm::metrics_end(mwin, shape, 1);
         // Sampled numerical-health check — reads a, b, c, d only.
@@ -302,40 +245,6 @@ impl Egemm {
         GemmOutput {
             d,
             timing,
-            shape,
-            report,
-        }
-    }
-
-    /// Pre-split entry point: reuse existing [`SplitMatrix`] operands (the
-    /// split is reusable across GEMMs over the same data, e.g. kMeans
-    /// iterations over a fixed point set).
-    pub fn gemm_split(
-        &self,
-        sa: &SplitMatrix,
-        sb: &SplitMatrix,
-        c: Option<&Matrix<f32>>,
-    ) -> GemmOutput {
-        let shape = GemmShape::new(sa.rows(), sb.cols(), sa.cols());
-        let mwin = Egemm::metrics_begin();
-        let window = self.trace_begin();
-        let d = engine::gemm_blocked_in(
-            &self.runtime,
-            sa,
-            sb,
-            c,
-            self.scheme,
-            TilingConfig::TC.k,
-            self.opts.engine,
-        );
-        let report = self.trace_end(
-            window,
-            format!("gemm_split {}x{}x{}", shape.m, shape.n, shape.k),
-        );
-        Egemm::metrics_end(mwin, shape, 1);
-        GemmOutput {
-            d,
-            timing: self.time(shape),
             shape,
             report,
         }
@@ -390,18 +299,6 @@ mod tests {
         for (x, y) in with.d.as_slice().iter().zip(without.d.as_slice()) {
             assert!((x - y - 10.0).abs() < 1e-4);
         }
-    }
-
-    #[test]
-    fn presplit_path_matches() {
-        let eg = Egemm::new(DeviceSpec::t4(), TilingConfig::T4_PAPER);
-        let a = Matrix::<f32>::random_uniform(32, 32, 5);
-        let b = Matrix::<f32>::random_uniform(32, 32, 6);
-        let sa = SplitMatrix::split(&a, eg.scheme.split_scheme());
-        let sb = SplitMatrix::split(&b, eg.scheme.split_scheme());
-        let d1 = eg.gemm(&a, &b).d;
-        let d2 = eg.gemm_split(&sa, &sb, None).d;
-        assert_eq!(d1, d2);
     }
 
     #[test]

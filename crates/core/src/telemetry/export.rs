@@ -116,11 +116,10 @@ impl GemmReport {
         }
         s.push_str("},\"cache\":{");
         s.push_str(&format!(
-            "\"hits\":{},\"misses\":{},\"evictions\":{},\"splits\":{},\"packs\":{},\"hit_ratio\":{:.4},\"resident_bytes\":{},\"bytes_staging_saved\":{},\"jit_compiles\":{},\"jit_hits\":{},\"jit_compile_ns\":{},\"jit_code_bytes\":{}",
+            "\"hits\":{},\"misses\":{},\"evictions\":{},\"packs\":{},\"hit_ratio\":{:.4},\"resident_bytes\":{},\"bytes_staging_saved\":{},\"jit_compiles\":{},\"jit_hits\":{},\"jit_compile_ns\":{},\"jit_code_bytes\":{}",
             self.cache.hits,
             self.cache.misses,
             self.cache.evictions,
-            self.cache.splits,
             self.cache.packs,
             self.cache.hit_ratio(),
             self.cache.bytes,

@@ -93,54 +93,48 @@ pub fn set_enabled(on: bool) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Phase {
-    /// O(N²) operand split into hi/lo planes (detail: elements split).
+    /// O(N²) operand split into hi/lo planes by
+    /// [`crate::SplitMatrix::split`] — the oracle and simulator side;
+    /// the engine splits inside its packs (detail: elements split).
     Split = 0,
-    /// Per-tile pack of the A planes (detail: bytes packed).
-    PackA = 1,
-    /// Pack of the B planes — per-tile or whole-operand through the
-    /// cache (detail: bytes packed).
-    PackB = 2,
     /// Microkernel compute over one macro-tile's packed panel (detail:
     /// tile index in the claim grid).
-    Tile = 3,
+    Tile = 1,
     /// Prepared-operand cache lookup (detail: 1 = hit, 0 = miss).
-    CacheLookup = 4,
+    CacheLookup = 2,
     /// Pool dispatch: publish job, run, wait for drain (detail: worker
     /// count).
-    Dispatch = 5,
+    Dispatch = 3,
     /// Worker time parked between claiming jobs (detail: dispatch
     /// epoch).
-    Park = 6,
+    Park = 4,
     /// One worker's whole participation in one call (detail: tiles
     /// claimed).
-    Worker = 7,
+    Worker = 5,
     /// Fused split+pack of a raw operand directly into panel slivers —
-    /// per-tile in the worker or whole-operand through the cache
-    /// (detail: bytes packed). Replaces a Split followed by a
-    /// PackA/PackB on the fused path.
-    FusedSplitPack = 8,
+    /// per panel in the worker or whole-operand through the cache
+    /// (detail: bytes packed).
+    FusedSplitPack = 6,
     /// An idle worker's victim search ending in a successful steal of a
     /// contiguous tile range (detail: tiles transferred).
-    Steal = 9,
+    Steal = 7,
     /// Time spent waiting on another worker's in-flight pack of a
     /// shared B panel (detail: k-panel index within the column block).
-    PanelWait = 10,
+    PanelWait = 8,
     /// One microkernel JIT compilation — IR lowering, register
     /// allocation, encoding, W^X publication, and verification against
     /// the interpreted kernel (detail: executable bytes published, 0
     /// when compilation failed).
-    JitCompile = 11,
+    JitCompile = 9,
 }
 
 impl Phase {
     /// Number of phases (array-aggregation bound).
-    pub const COUNT: usize = 12;
+    pub const COUNT: usize = 10;
 
     /// Every phase, in discriminant order.
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::Split,
-        Phase::PackA,
-        Phase::PackB,
         Phase::Tile,
         Phase::CacheLookup,
         Phase::Dispatch,
@@ -156,8 +150,6 @@ impl Phase {
     pub fn name(self) -> &'static str {
         match self {
             Phase::Split => "split",
-            Phase::PackA => "pack_a",
-            Phase::PackB => "pack_b",
             Phase::Tile => "tile",
             Phase::CacheLookup => "cache_lookup",
             Phase::Dispatch => "dispatch",

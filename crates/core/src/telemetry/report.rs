@@ -105,9 +105,7 @@ impl GemmReport {
                 phase_ns[i] += ev.dur_ns;
                 phase_counts[i] += 1;
                 match ev.phase {
-                    Phase::PackA | Phase::PackB | Phase::FusedSplitPack => {
-                        bytes_packed += ev.detail
-                    }
+                    Phase::FusedSplitPack => bytes_packed += ev.detail,
                     Phase::Worker => {
                         tiles += ev.detail;
                         busy_ns += ev.dur_ns;
@@ -150,7 +148,6 @@ impl GemmReport {
                 misses: cache_after.misses - cache_before.misses,
                 evictions: cache_after.evictions - cache_before.evictions,
                 bytes: cache_after.bytes,
-                splits: cache_after.splits - cache_before.splits,
                 packs: cache_after.packs - cache_before.packs,
                 bytes_staging_saved: cache_after.bytes_staging_saved
                     - cache_before.bytes_staging_saved,

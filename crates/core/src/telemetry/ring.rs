@@ -174,7 +174,7 @@ mod tests {
     fn push_then_drain_roundtrips() {
         let ring = TraceRing::new(7, "t".into());
         ring.push(Phase::Tile, 10, 5, 42);
-        ring.push(Phase::PackA, 20, 3, 8);
+        ring.push(Phase::FusedSplitPack, 20, 3, 8);
         let lane = ring.drain();
         assert_eq!(lane.worker, 7);
         assert_eq!(lane.dropped, 0);
@@ -188,7 +188,7 @@ mod tests {
                     detail: 42
                 },
                 TraceEvent {
-                    phase: Phase::PackA,
+                    phase: Phase::FusedSplitPack,
                     start_ns: 20,
                     dur_ns: 3,
                     detail: 8

@@ -55,8 +55,12 @@ pub(crate) struct Stalled {
 
 pub(crate) struct Conn {
     pub stream: TcpStream,
-    /// Raw bytes read but not yet framed.
+    /// Raw bytes read; `rbuf[rpos..]` is not yet framed.
     rbuf: Vec<u8>,
+    /// Consumed prefix of `rbuf` (compacted lazily, like `wpos`), so a
+    /// deep pipeline is framed in time linear in its bytes instead of
+    /// memmoving the unread remainder once per frame.
+    rpos: usize,
     /// Encoded reply bytes (length prefixes included) not yet written.
     wbuf: Vec<u8>,
     /// Consumed prefix of `wbuf` (compacted lazily).
@@ -81,6 +85,7 @@ impl Conn {
         Conn {
             stream,
             rbuf: Vec::new(),
+            rpos: 0,
             wbuf: Vec::new(),
             wpos: 0,
             interest: 0,
@@ -112,20 +117,31 @@ impl Conn {
     /// whole one has arrived. An oversized length is a protocol error
     /// that kills the connection (the stream can no longer be framed).
     pub(crate) fn next_frame(&mut self) -> Result<Option<Vec<u8>>, String> {
-        if self.rbuf.len() < 4 {
+        let unread = &self.rbuf[self.rpos..];
+        if unread.len() < 4 {
             return Ok(None);
         }
-        let len = u32::from_be_bytes(self.rbuf[..4].try_into().unwrap()) as usize;
+        let len = u32::from_be_bytes(unread[..4].try_into().unwrap()) as usize;
         if len > MAX_FRAME {
             return Err(format!(
                 "frame of {len} bytes exceeds the {MAX_FRAME} limit"
             ));
         }
-        if self.rbuf.len() < 4 + len {
+        if unread.len() < 4 + len {
             return Ok(None);
         }
-        let payload = self.rbuf[4..4 + len].to_vec();
-        self.rbuf.drain(..4 + len);
+        let payload = unread[4..4 + len].to_vec();
+        self.rpos += 4 + len;
+        // Compact once everything (or more than half the buffer) was
+        // consumed: each move then costs less than the bytes consumed
+        // since the last one, so framing stays linear overall.
+        if self.rpos == self.rbuf.len() {
+            self.rbuf.clear();
+            self.rpos = 0;
+        } else if self.rpos > self.rbuf.len() / 2 {
+            self.rbuf.drain(..self.rpos);
+            self.rpos = 0;
+        }
         Ok(Some(payload))
     }
 
@@ -226,6 +242,49 @@ mod tests {
         assert!(conn.fill_rbuf().unwrap());
         assert_eq!(conn.next_frame().unwrap().unwrap(), payload);
         assert!(conn.next_frame().unwrap().is_none());
+    }
+
+    #[test]
+    fn pipelined_frames_come_back_in_order() {
+        // Many frames arrive in one read, the last one split across two
+        // reads (simulated by appending to the read buffer exactly as
+        // `fill_rbuf` does); then an oversized header follows.
+        let (mut conn, _peer) = conn_pair();
+        let frame = |i: usize| -> Vec<u8> {
+            let payload: Vec<u8> = (0..i % 97 + 1).map(|b| (b * 31 + i) as u8).collect();
+            let mut framed = (payload.len() as u32).to_be_bytes().to_vec();
+            framed.extend_from_slice(&payload);
+            framed
+        };
+        let frames = 3000;
+        let mut stream: Vec<u8> = (0..frames).flat_map(frame).collect();
+        let split_at = stream.len() - 5; // inside the last frame's payload
+        conn.rbuf.extend_from_slice(&stream[..split_at]);
+        for i in 0..frames - 1 {
+            assert_eq!(
+                conn.next_frame().unwrap().unwrap(),
+                frame(i)[4..],
+                "frame {i}"
+            );
+        }
+        assert!(
+            conn.next_frame().unwrap().is_none(),
+            "last frame is partial"
+        );
+        conn.rbuf.extend_from_slice(&stream[split_at..]);
+        assert_eq!(conn.next_frame().unwrap().unwrap(), frame(frames - 1)[4..]);
+        assert!(conn.next_frame().unwrap().is_none());
+        assert!(
+            conn.rbuf.is_empty() && conn.rpos == 0,
+            "fully consumed buffer compacts"
+        );
+
+        // The MAX_FRAME rejection still fires behind consumed frames.
+        stream = frame(7);
+        stream.extend_from_slice(&((MAX_FRAME + 1) as u32).to_be_bytes());
+        conn.rbuf.extend_from_slice(&stream);
+        assert_eq!(conn.next_frame().unwrap().unwrap(), frame(7)[4..]);
+        assert!(conn.next_frame().is_err());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Trace a real engine execution end to end and emit a Chrome-trace
 //! file: cold call (fused split-and-pack + compute), then a warm call
-//! against the populated operand cache, plus a staged-knob reference
-//! call, on a multi-worker pool.
+//! against the populated operand cache, on a multi-worker pool, with
+//! sampled output elements bit-checked against the scalar entrywise
+//! oracle.
 //!
 //! ```text
 //! EGEMM_TRACE=1 cargo run --release -p egemm --example pipeline_trace
@@ -9,16 +10,16 @@
 //!
 //! Writes `target/pipeline_trace.json` (override with `--out PATH`) —
 //! load it in `chrome://tracing` or <https://ui.perfetto.dev> to see
-//! split/pack/tile spans laid out per worker thread. Build artifacts
+//! split-and-pack/tile spans laid out per worker thread. Build artifacts
 //! stay under `target/`; the repo root holds only tracked baselines.
 //! The example then validates its own output (the CI
-//! gate): the JSON must be well-formed, every pipeline phase must have
+//! gate): the JSON must be well-formed, every engine phase must have
 //! recorded at least one span, and compute spans must be attributed to
 //! more than one worker thread. Any violation panics (nonzero exit).
 
-use egemm::engine::{EngineConfig, EngineRuntime, RuntimeConfig};
+use egemm::engine::{EngineRuntime, RuntimeConfig};
 use egemm::telemetry::{self, Phase};
-use egemm::{Egemm, KernelOpts, TilingConfig};
+use egemm::{emulated_gemm_entrywise, Egemm, SplitMatrix, TilingConfig};
 use egemm_matrix::Matrix;
 use egemm_tcsim::DeviceSpec;
 
@@ -87,42 +88,40 @@ fn main() {
     let warm_report = warm.report.expect("tracing is on: warm call must report");
     println!("warm call (cache hit on the packed B):\n{warm_report}");
 
-    // The staged reference behind the `EngineConfig::staged` knob, on
-    // its own runtime so its split/pack work isn't absorbed by the
-    // fused calls' cache entries. This is the bit-identity oracle; it
-    // also exercises the Split/PackA/PackB phases the fused pipeline
-    // skips.
-    let staged_rt = EngineRuntime::new(RuntimeConfig {
-        threads: 4,
-        ..RuntimeConfig::default()
-    });
-    let staged_eg = Egemm::new(DeviceSpec::t4(), TilingConfig::T4_PAPER)
-        .with_runtime(staged_rt)
-        .with_opts(KernelOpts {
-            engine: EngineConfig {
-                staged: true,
-                ..EngineConfig::default()
-            },
-            ..KernelOpts::default()
-        });
-    let staged = staged_eg.gemm(&a, &b);
-    let staged_report = staged
+    // A one-slice split-K call: the same product with B raw, so its
+    // panels go through the per-call cooperative store instead of the
+    // operand cache.
+    let raw_b = eg.gemm_split_k(&a, &b, 1);
+    let raw_b_report = raw_b
         .report
-        .expect("tracing is on: staged call must report");
-    println!("staged reference call (split + pack + compute):\n{staged_report}");
-    for (i, (x, y)) in cold
-        .d
-        .as_slice()
-        .iter()
-        .zip(staged.d.as_slice())
-        .enumerate()
-    {
-        assert_eq!(
-            x.to_bits(),
-            y.to_bits(),
-            "fused and staged outputs diverge at flat index {i}"
-        );
+        .expect("tracing is on: split-K call must report");
+    println!("raw-B call (per-call panel store):\n{raw_b_report}");
+
+    // Bit-check sampled elements of every call against the scalar
+    // entrywise oracle over explicitly split operands: corners, edges
+    // and an interior stride.
+    let scheme = eg.scheme;
+    let sa = SplitMatrix::split(&a, scheme.split_scheme());
+    let sb = SplitMatrix::split(&b, scheme.split_scheme());
+    let (m, n) = (cold.d.rows(), cold.d.cols());
+    let samples: Vec<(usize, usize)> = [(0, 0), (0, n - 1), (m - 1, 0), (m - 1, n - 1)]
+        .into_iter()
+        .chain((0..m).step_by(37).map(|i| (i, (i * 7 + 3) % n)))
+        .collect();
+    for &(i, j) in &samples {
+        let want = emulated_gemm_entrywise(&sa, &sb, None, scheme, i, j).to_bits();
+        for (call, d) in [("cold", &cold.d), ("warm", &warm.d), ("raw-B", &raw_b.d)] {
+            assert_eq!(
+                d.get(i, j).to_bits(),
+                want,
+                "{call} call diverges from the entrywise oracle at ({i},{j})"
+            );
+        }
     }
+    println!(
+        "{} sampled elements of every call bit-match the entrywise oracle",
+        samples.len()
+    );
 
     // Chrome-trace export of the cold call — the interesting timeline.
     // Default under target/ so the artifact never lands in the repo
@@ -149,23 +148,21 @@ fn main() {
     // ---- Self-validation (the CI contract) ----
     assert_json_well_formed(&trace);
 
-    // Every pipeline phase must have recorded at least one span over
-    // the three calls: the fused cold call covers FusedSplitPack, Tile,
-    // CacheLookup, Dispatch, Park and Worker; the staged reference
-    // covers Split, PackA and PackB. Phases the cold call recorded must
-    // also appear by name in its exported trace. Two phases are
-    // machine-dependent: PanelWait needs a second core actually running
-    // a pool worker concurrently (on a 1-core host the submitting
-    // thread drains every tile before any worker wakes, so nobody ever
-    // waits on a racing pack), and JitCompile only fires where the
-    // process can publish JIT kernels at all.
+    // Every engine phase must have recorded at least one span over the
+    // three calls: the cold call covers FusedSplitPack, Tile,
+    // CacheLookup, Dispatch, Park and Worker; the raw-B call covers
+    // PanelWait (every panel-store visit after the first packer's).
+    // Split is not an engine phase — only `SplitMatrix::split` on the
+    // oracle side records it — so it is exempt. Phases the cold call
+    // recorded must also appear by name in its exported trace. JitCompile
+    // is machine-dependent: it only fires where the process can publish
+    // JIT kernels at all.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    for phase in Phase::ALL {
+    for phase in Phase::ALL.into_iter().filter(|&p| p != Phase::Split) {
         let n = cold_report.phase_count(phase)
             + warm_report.phase_count(phase)
-            + staged_report.phase_count(phase);
-        let machine_dependent = (phase == Phase::PanelWait && cores < 2)
-            || (phase == Phase::JitCompile && !egemm::jit_available());
+            + raw_b_report.phase_count(phase);
+        let machine_dependent = phase == Phase::JitCompile && !egemm::jit_available();
         assert!(
             n > 0 || machine_dependent,
             "phase {} recorded no spans",
@@ -181,9 +178,9 @@ fn main() {
     }
 
     // The fused pipeline's signature: fused_split_pack spans on the
-    // cold call (whole-operand B pack + per-tile A packs), none of the
-    // staged phases, and the avoided-staging counter both in the report
-    // and as a Chrome counter track in the trace file.
+    // cold call (whole-operand B pack + per-panel A packs), no split
+    // spans, and the avoided-staging counter both in the report and as
+    // a Chrome counter track in the trace file.
     assert!(
         cold_report.phase_count(Phase::FusedSplitPack) > 0,
         "fused cold call recorded no fused_split_pack spans"
@@ -192,14 +189,11 @@ fn main() {
         trace.contains("\"name\":\"fused_split_pack\""),
         "fused_split_pack missing from the trace file"
     );
-    for phase in [Phase::Split, Phase::PackA, Phase::PackB] {
-        assert_eq!(
-            cold_report.phase_count(phase),
-            0,
-            "fused cold call staged through phase {}",
-            phase.name()
-        );
-    }
+    assert_eq!(
+        cold_report.phase_count(Phase::Split),
+        0,
+        "the engine call materialized split planes"
+    );
     let expect_saved = (12 * (256 * 256 + 256 * 512)) as u64; // both raw operands
     assert_eq!(
         cold_report.cache.bytes_staging_saved, expect_saved,
@@ -209,11 +203,6 @@ fn main() {
         trace.contains("\"ph\":\"C\"")
             && trace.contains(&format!("\"bytes_staging_saved\":{expect_saved}")),
         "bytes_staging_saved counter missing from the trace file"
-    );
-    assert!(
-        staged_report.phase_count(Phase::FusedSplitPack) == 0
-            && staged_report.cache.bytes_staging_saved == 0,
-        "staged reference call took the fused path"
     );
 
     // Compute spans must be attributed to the worker threads that ran
@@ -241,14 +230,10 @@ fn main() {
     );
     assert_eq!(cold_report.dropped_events, 0, "cold call overflowed rings");
 
-    // The warm call must show the cache working: no new splits or
-    // packs — B's fused-packed panels are served from the cache, and
-    // only A's per-call staging note accrues.
-    assert_eq!(
-        (warm_report.cache.splits, warm_report.cache.packs),
-        (0, 0),
-        "warm call re-prepared operands"
-    );
+    // The warm call must show the cache working: no new packs — B's
+    // packed panels are served from the cache, and only A's per-call
+    // staging note accrues.
+    assert_eq!(warm_report.cache.packs, 0, "warm call re-prepared B");
     assert_eq!(
         warm_report.cache.bytes_staging_saved,
         (12 * (256 * 256)) as u64,

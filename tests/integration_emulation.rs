@@ -116,9 +116,7 @@ fn scheme_precision_ordering() {
     let b = Matrix::<f32>::random_uniform(n, n, 6);
     let truth = gemm_f64_of_f32(&a, &b).to_f64_vec();
     let run = |scheme: EmulationScheme| {
-        let sa = SplitMatrix::split(&a, scheme.split_scheme());
-        let sb = SplitMatrix::split(&b, scheme.split_scheme());
-        let d = emulated_gemm(&sa, &sb, None, scheme);
+        let d = emulated_gemm(&a, &b, None, scheme);
         max_abs_error(&d.to_f64_vec(), &truth)
     };
     let err_half = run(EmulationScheme::TcHalf);
@@ -146,9 +144,7 @@ fn scheme_precision_ordering() {
         c.to_f64_vec()
     };
     let run_deep = |scheme: EmulationScheme| {
-        let sa = SplitMatrix::split(&a, scheme.split_scheme());
-        let sb = SplitMatrix::split(&b, scheme.split_scheme());
-        let d = emulated_gemm(&sa, &sb, None, scheme);
+        let d = emulated_gemm(&a, &b, None, scheme);
         max_abs_error(&d.to_f64_vec(), &truth_deep)
     };
     let deep_eg = run_deep(EmulationScheme::EgemmTc);
@@ -169,8 +165,7 @@ fn exact_inputs_exact_outputs() {
     let a = Matrix::from_fn(n, n, |r, c| ((r * 31 + c * 7) % 512) as f32 / 512.0);
     let b = Matrix::from_fn(n, n, |r, c| ((r * 13 + c * 3) % 512) as f32 / 512.0);
     let sa = SplitMatrix::split(&a, SplitScheme::Round);
-    let sb = SplitMatrix::split(&b, SplitScheme::Round);
-    let d = emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc);
+    let d = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
     let truth = gemm_f64_of_f32(&a, &b);
     for (x, y) in d.as_slice().iter().zip(truth.as_slice()) {
         // f32 accumulation of exact products: error only from the final
@@ -208,9 +203,7 @@ fn error_grows_sublinearly_with_k() {
         .map(|&k| {
             let a = Matrix::<f32>::random_uniform(m, k, 8);
             let b = Matrix::<f32>::random_uniform(k, n, 9);
-            let sa = SplitMatrix::split(&a, SplitScheme::Round);
-            let sb = SplitMatrix::split(&b, SplitScheme::Round);
-            let d = emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc);
+            let d = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
             let truth = gemm_f64_of_f32(&a, &b);
             max_abs_error(&d.to_f64_vec(), &truth.to_f64_vec())
         })

@@ -11,9 +11,9 @@
 //! safe and race-free as long as it happens before any engine work.
 
 use egemm::emulation::EmulationScheme;
-use egemm::engine::{gemm_blocked, EngineConfig};
+use egemm::engine::{self, EngineConfig, EngineRuntime, Plan};
 use egemm::split_matrix::SplitMatrix;
-use egemm::{emulated_gemm_tk, jit_available, jit_exec_mappings};
+use egemm::{emulated_gemm_entrywise, jit_available, jit_exec_mappings};
 use egemm_matrix::Matrix;
 
 #[test]
@@ -38,7 +38,6 @@ fn jit_disabled_process_never_maps_executable_pages() {
         let b = Matrix::<f32>::random_uniform(k, n, 13);
         let sa = SplitMatrix::split(&a, scheme.split_scheme());
         let sb = SplitMatrix::split(&b, scheme.split_scheme());
-        let tk = 8;
         // jit: true in the config is deliberate — the env knob must
         // override per-call opt-ins.
         let cfg = EngineConfig {
@@ -49,10 +48,22 @@ fn jit_disabled_process_never_maps_executable_pages() {
             ..EngineConfig::default()
         };
         assert!(cfg.jit, "default EngineConfig must ask for the JIT");
-        let d = gemm_blocked(&sa, &sb, None, scheme, tk, cfg);
-        let want = emulated_gemm_tk(&sa, &sb, None, scheme, tk);
-        for (x, y) in d.as_slice().iter().zip(want.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "{scheme:?} diverged");
+        let d = engine::gemm(
+            EngineRuntime::global(),
+            &Plan {
+                cfg,
+                ..Plan::new(&a, &b, scheme)
+            },
+        );
+        for i in 0..m {
+            for j in 0..n {
+                let want = emulated_gemm_entrywise(&sa, &sb, None, scheme, i, j);
+                assert_eq!(
+                    d.get(i, j).to_bits(),
+                    want.to_bits(),
+                    "{scheme:?} diverged at ({i},{j})"
+                );
+            }
         }
     }
 

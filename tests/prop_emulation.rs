@@ -4,7 +4,7 @@
 //! not just the paper's U[-1,1] workloads.
 
 use egemm::{emulated_gemm, emulated_gemm_entrywise, EmulationScheme, SplitMatrix};
-use egemm_fp::{round_split, truncate_split, Half, SplitScheme};
+use egemm_fp::{round_split, truncate_split, Half};
 use egemm_matrix::Matrix;
 use proptest::prelude::*;
 
@@ -110,7 +110,7 @@ proptest! {
         let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
         let sa = SplitMatrix::split(&a, scheme.split_scheme());
         let sb = SplitMatrix::split(&b, scheme.split_scheme());
-        let d = emulated_gemm(&sa, &sb, None, scheme);
+        let d = emulated_gemm(&a, &b, None, scheme);
         let (i, j) = (m - 1, n - 1);
         let e = emulated_gemm_entrywise(&sa, &sb, None, scheme, i, j);
         prop_assert_eq!(d.get(i, j).to_bits(), e.to_bits());
@@ -129,11 +129,9 @@ proptest! {
     ) {
         let a = Matrix::<f32>::random_uniform(n, n, seed);
         let b = Matrix::<f32>::random_uniform(n, n, seed + 1);
-        let sa = SplitMatrix::split(&a, SplitScheme::Round);
-        let sb = SplitMatrix::split(&b, SplitScheme::Round);
         let c = Matrix::from_fn(n, n, |_, _| 100.0f32);
-        let d0 = emulated_gemm(&sa, &sb, None, EmulationScheme::EgemmTc);
-        let dc = emulated_gemm(&sa, &sb, Some(&c), EmulationScheme::EgemmTc);
+        let d0 = emulated_gemm(&a, &b, None, EmulationScheme::EgemmTc);
+        let dc = emulated_gemm(&a, &b, Some(&c), EmulationScheme::EgemmTc);
         for (x, y) in dc.as_slice().iter().zip(d0.as_slice()) {
             // Relative tolerance: accumulating onto 100.0 changes rounding
             // of each partial sum by at most ulp(100) per step.

@@ -3,16 +3,18 @@
 //! The engine (crates/core/src/engine) may block, pack, and parallelize
 //! however it likes, but per output element it must replay *exactly* the
 //! profiled Tensor-Core accumulation order. These properties compare it
-//! against an independent scalar replay (and the crate's entrywise
-//! oracle) with `to_bits` equality — zero tolerance — across all four
-//! schemes, `tk` in {4, 8, 16}, and adversarial shapes: 1 x k x 1,
-//! non-multiples of every tile size, m << n and m >> n.
+//! against the crate's independent entrywise oracle
+//! ([`emulated_gemm_entrywise`], fixed at tk = 8 over the whole
+//! reduction) and, for other chunk depths and split-K slices, the same
+//! scalar replay with an explicit `tk` and k range — with `to_bits`
+//! equality, zero tolerance — across all four schemes, `tk` in
+//! {4, 8, 16}, and adversarial shapes: 1 x k x 1, non-multiples of every
+//! tile size, m << n and m >> n.
 
+use egemm::engine::{self, Plan};
 use egemm::{
-    emulated_gemm_entrywise, emulated_gemm_rows, gemm_blocked, gemm_blocked_fused, gemm_blocked_in,
-    gemm_blocked_prepared, gemm_blocked_range, gemm_blocked_range_fused_in, prepare_b, Egemm,
-    EmulationScheme, EngineConfig, EngineRuntime, KernelOpts, RuntimeConfig, SplitMatrix,
-    TilingConfig,
+    emulated_gemm_entrywise, emulated_gemm_rows, prepare_b_fused, Egemm, EmulationScheme,
+    EngineConfig, EngineRuntime, RuntimeConfig, SplitMatrix, TilingConfig,
 };
 use egemm_fp::SplitKernel;
 use egemm_matrix::Matrix;
@@ -29,20 +31,23 @@ const SCHEMES: [EmulationScheme; 4] = [
 /// Scalar replay of the accumulation contract with an explicit `tk` and
 /// k range: ascending k in `tk` chunks from `k_lo`, scheme terms in
 /// issue order per chunk, one separate binary32 multiply and add per
-/// product.
+/// product. At tk = 8 over the whole reduction this *is*
+/// [`emulated_gemm_entrywise`], which is then called instead.
 #[allow(clippy::too_many_arguments)]
-fn entrywise_tk(
+fn oracle(
     sa: &SplitMatrix,
     sb: &SplitMatrix,
     c: Option<&Matrix<f32>>,
     scheme: EmulationScheme,
     tk: usize,
-    k_lo: usize,
-    k_hi: usize,
+    (k_lo, k_hi): (usize, usize),
     i: usize,
     j: usize,
 ) -> f32 {
     let (k, n) = (sa.cols(), sb.cols());
+    if tk == TilingConfig::TC.k && (k_lo, k_hi) == (0, k) {
+        return emulated_gemm_entrywise(sa, sb, c, scheme, i, j);
+    }
     let mut acc = c.map_or(0.0, |c0| c0.get(i, j));
     let mut kt = k_lo;
     while kt < k_hi {
@@ -59,26 +64,59 @@ fn entrywise_tk(
     acc
 }
 
-fn split_pair(
-    m: usize,
-    k: usize,
-    n: usize,
-    scheme: EmulationScheme,
-    seed: u64,
-) -> (SplitMatrix, SplitMatrix) {
+/// Raw operands and their `scheme` splits (the splits feed only the
+/// oracle; the engine takes the raw pair).
+struct Operands {
+    a: Matrix<f32>,
+    b: Matrix<f32>,
+    sa: SplitMatrix,
+    sb: SplitMatrix,
+}
+
+fn operands(m: usize, k: usize, n: usize, scheme: EmulationScheme, seed: u64) -> Operands {
     let a = Matrix::<f32>::random_uniform(m, k, seed);
     let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
-    (
-        SplitMatrix::split(&a, scheme.split_scheme()),
-        SplitMatrix::split(&b, scheme.split_scheme()),
-    )
+    let sa = SplitMatrix::split(&a, scheme.split_scheme());
+    let sb = SplitMatrix::split(&b, scheme.split_scheme());
+    Operands { a, b, sa, sb }
+}
+
+/// `engine::gemm` on the process-wide runtime.
+fn run(plan: Plan<'_>) -> Matrix<f32> {
+    engine::gemm(EngineRuntime::global(), &plan)
+}
+
+/// The first element of `d` (the `range` product seeded by `c`) that
+/// differs from the oracle, as `(i, j, got, want)`.
+fn first_divergence(
+    d: &Matrix<f32>,
+    ops: &Operands,
+    c: Option<&Matrix<f32>>,
+    scheme: EmulationScheme,
+    tk: usize,
+    range: (usize, usize),
+) -> Option<(usize, usize, u32, u32)> {
+    for i in 0..d.rows() {
+        for j in 0..d.cols() {
+            let want = oracle(&ops.sa, &ops.sb, c, scheme, tk, range, i, j).to_bits();
+            let got = d.get(i, j).to_bits();
+            if got != want {
+                return Some((i, j, got, want));
+            }
+        }
+    }
+    None
+}
+
+fn bits(d: &Matrix<f32>) -> Vec<u32> {
+    d.as_slice().iter().map(|x| x.to_bits()).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Random shapes, schemes, tk, and blocking configs: every output
-    /// element bit-equals the scalar replay.
+    /// element bit-equals the oracle.
     #[test]
     fn blocked_engine_bit_identical(
         m in 1usize..20,
@@ -95,22 +133,13 @@ proptest! {
     ) {
         let scheme = SCHEMES[scheme_idx];
         let tk = [4usize, 8, 16][tk_idx];
-        let (sa, sb) = split_pair(m, k, n, scheme, seed);
+        let ops = operands(m, k, n, scheme, seed);
         let c = Matrix::<f32>::random_uniform(m, n, seed + 2);
         let c_opt = if with_c { Some(&c) } else { None };
         let cfg = EngineConfig { mc, nc, kc, threads, ..Default::default() };
-        let d = gemm_blocked(&sa, &sb, c_opt, scheme, tk, cfg);
-        for i in 0..m {
-            for j in 0..n {
-                let want = entrywise_tk(&sa, &sb, c_opt, scheme, tk, 0, k, i, j);
-                prop_assert_eq!(
-                    d.get(i, j).to_bits(),
-                    want.to_bits(),
-                    "{:?} tk={} ({},{})",
-                    scheme, tk, i, j
-                );
-            }
-        }
+        let d = run(Plan { c: c_opt, tk, cfg, ..Plan::new(&ops.a, &ops.b, scheme) });
+        let bad = first_divergence(&d, &ops, c_opt, scheme, tk, (0, k));
+        prop_assert!(bad.is_none(), "{:?} tk={} threads={}: {:?}", scheme, tk, threads, bad);
     }
 
     /// Split-K slices chunk from the slice start and stay bit-identical.
@@ -124,28 +153,23 @@ proptest! {
     ) {
         let scheme = SCHEMES[scheme_idx];
         let tk = [4usize, 8, 16][tk_idx];
-        let (m, n) = (5usize, 7usize);
-        let (sa, sb) = split_pair(m, k, n, scheme, seed);
-        let k_lo = (cut_num * k / 8).min(k - 1);
-        let k_hi = k;
+        let ops = operands(5, k, 7, scheme, seed);
+        let range = ((cut_num * k / 8).min(k - 1), k);
         let cfg = EngineConfig { mc: 3, nc: 5, kc: 9, threads: 2, ..Default::default() };
-        let d = gemm_blocked_range(&sa, &sb, k_lo, k_hi, scheme, tk, cfg);
-        for i in 0..m {
-            for j in 0..n {
-                let want = entrywise_tk(&sa, &sb, None, scheme, tk, k_lo, k_hi, i, j);
-                prop_assert_eq!(d.get(i, j).to_bits(), want.to_bits());
-            }
-        }
+        let d = run(Plan { k_range: Some(range), tk, cfg, ..Plan::new(&ops.a, &ops.b, scheme) });
+        let bad = first_divergence(&d, &ops, None, scheme, tk, range);
+        prop_assert!(bad.is_none(), "{:?} tk={} slice {:?}: {:?}", scheme, tk, range, bad);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The fused split-and-pack pipeline is bit-identical to the staged
-    /// split-then-pack reference: random (non-tile-multiple) shapes, all
-    /// four schemes (covering both split schemes), pool sizes 1 and 4,
-    /// full products and split-K slices starting mid-operand.
+    /// The raw-operand pipeline, which splits inside the panel pack,
+    /// bit-equals the oracle over ahead-of-time splits: random
+    /// (non-tile-multiple) shapes, all four schemes (covering both
+    /// split schemes), pool sizes 1 and 4, with and without C, full
+    /// products and split-K slices starting mid-operand.
     #[test]
     fn fused_pipeline_bit_identical_to_staged(
         m in 1usize..24,
@@ -161,46 +185,31 @@ proptest! {
         let scheme = SCHEMES[scheme_idx];
         let tk = [4usize, 8, 16][tk_idx];
         let threads = [1usize, 4][threads_idx];
-        let a = Matrix::<f32>::random_uniform(m, k, seed);
-        let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
+        let ops = operands(m, k, n, scheme, seed);
         let c = Matrix::<f32>::random_uniform(m, n, seed + 2);
         let c_opt = if with_c { Some(&c) } else { None };
-        let sa = SplitMatrix::split(&a, scheme.split_scheme());
-        let sb = SplitMatrix::split(&b, scheme.split_scheme());
         let cfg = EngineConfig { mc: 5, nc: 9, kc: 12, threads, ..Default::default() };
 
-        // Full product: fused raw-operand entry vs the staged engine.
-        let want = gemm_blocked(&sa, &sb, c_opt, scheme, tk, cfg);
-        let got = gemm_blocked_fused(&a, &b, c_opt, scheme, tk, cfg);
-        for (x, y) in got.as_slice().iter().zip(want.as_slice()) {
-            prop_assert_eq!(
-                x.to_bits(), y.to_bits(),
-                "fused full product diverged ({:?}, tk={}, threads={})",
-                scheme, tk, threads
-            );
-        }
+        let d = run(Plan { c: c_opt, tk, cfg, ..Plan::new(&ops.a, &ops.b, scheme) });
+        let bad = first_divergence(&d, &ops, c_opt, scheme, tk, (0, k));
+        prop_assert!(bad.is_none(), "{:?} tk={} threads={}: {:?}", scheme, tk, threads, bad);
 
-        // Split-K slice: chunking restarts at k_lo on both paths.
-        let k_lo = (cut_num * k / 8).min(k - 1);
+        // Split-K slice: chunking restarts at k_lo.
+        let range = ((cut_num * k / 8).min(k - 1), k);
         let rt = EngineRuntime::new(RuntimeConfig {
             threads,
             cache_bytes: 0,
             ..Default::default()
         });
-        let want_r = gemm_blocked_range(&sa, &sb, k_lo, k, scheme, tk, cfg);
-        let got_r = gemm_blocked_range_fused_in(&rt, &a, &b, k_lo, k, scheme, tk, cfg);
-        for (x, y) in got_r.as_slice().iter().zip(want_r.as_slice()) {
-            prop_assert_eq!(
-                x.to_bits(), y.to_bits(),
-                "fused slice diverged ({:?}, tk={}, k_lo={})",
-                scheme, tk, k_lo
-            );
-        }
+        let plan = Plan { k_range: Some(range), tk, cfg, ..Plan::new(&ops.a, &ops.b, scheme) };
+        let d = engine::gemm(&rt, &plan);
+        let bad = first_divergence(&d, &ops, None, scheme, tk, range);
+        prop_assert!(bad.is_none(), "{:?} tk={} slice {:?}: {:?}", scheme, tk, range, bad);
     }
 
-    /// The `EngineConfig::staged` knob routes the whole public API
-    /// (gemm, prepared handles, split-K) through the staged reference,
-    /// and both routes agree bitwise at pool sizes 1 and 4.
+    /// The whole public API (gemm, prepared handles, split-K) at pool
+    /// sizes 1 and 4 bit-equals the oracle; split-K equals the
+    /// ascending-slice f32 reduction of per-slice oracle replays.
     #[test]
     fn staged_knob_agrees_with_fused_default(
         m in 1usize..16,
@@ -211,32 +220,29 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let scheme = SCHEMES[scheme_idx];
-        let a = Matrix::<f32>::random_uniform(m, k, seed);
-        let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
+        let ops = operands(m, k, n, scheme, seed);
+        let (a, b) = (&ops.a, &ops.b);
+        let s = slices.min(k);
+        let mut want_sk = Matrix::<f32>::zeros(m, n);
+        for sl in 0..s {
+            let range = (k * sl / s, k * (sl + 1) / s);
+            for i in 0..m {
+                for j in 0..n {
+                    let p = oracle(&ops.sa, &ops.sb, None, scheme, 8, range, i, j);
+                    want_sk.set(i, j, want_sk.get(i, j) + p);
+                }
+            }
+        }
         for threads in [1usize, 4] {
-            let rc = RuntimeConfig { threads, ..Default::default() };
-            let fused = egemm_on(scheme, rc);
-            let staged = egemm_on(scheme, rc).with_opts(KernelOpts {
-                engine: EngineConfig { staged: true, ..Default::default() },
-                ..Default::default()
-            });
-            let df = fused.gemm(&a, &b).d;
-            let ds = staged.gemm(&a, &b).d;
-            prop_assert_eq!(df.as_slice(), ds.as_slice(), "gemm (threads={})", threads);
-
-            let pf = fused.prepare(&b);
-            let ps = staged.prepare(&b);
-            prop_assert!(pf.split().is_none(), "fused prepare must not stage planes");
-            prop_assert!(ps.split().is_some(), "staged prepare must retain planes");
-            let dpf = fused.gemm_prepared(&a, &pf, None).d;
-            let dps = staged.gemm_prepared(&a, &ps, None).d;
-            prop_assert_eq!(dpf.as_slice(), df.as_slice(), "fused prepared (threads={})", threads);
-            prop_assert_eq!(dps.as_slice(), df.as_slice(), "staged prepared (threads={})", threads);
-
-            let s = slices.min(k);
-            let skf = fused.gemm_split_k(&a, &b, s).d;
-            let sks = staged.gemm_split_k(&a, &b, s).d;
-            prop_assert_eq!(skf.as_slice(), sks.as_slice(), "split-k s={} (threads={})", s, threads);
+            let eg = egemm_on(scheme, RuntimeConfig { threads, ..Default::default() });
+            let d = eg.gemm(a, b).d;
+            let bad = first_divergence(&d, &ops, None, scheme, 8, (0, k));
+            prop_assert!(bad.is_none(), "gemm (threads={}): {:?}", threads, bad);
+            let pb = eg.prepare(b);
+            let dp = eg.gemm_prepared(a, &pb, None).d;
+            prop_assert_eq!(bits(&dp), bits(&d), "prepared (threads={})", threads);
+            let sk = eg.gemm_split_k(a, b, s).d;
+            prop_assert_eq!(bits(&sk), bits(&want_sk), "split-k s={} (threads={})", s, threads);
         }
     }
 }
@@ -249,7 +255,7 @@ fn egemm_on(scheme: EmulationScheme, cfg: RuntimeConfig) -> Egemm {
         .with_runtime(EngineRuntime::new(cfg))
 }
 
-/// The pre-runtime reference path: no caching, scalar split kernel,
+/// The uncached reference path: no caching, scalar split kernel,
 /// single thread.
 fn cold_reference(scheme: EmulationScheme) -> Egemm {
     egemm_on(
@@ -265,8 +271,9 @@ fn cold_reference(scheme: EmulationScheme) -> Egemm {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Cache-miss, cache-hit, and prepared-handle paths are all bitwise
-    /// identical to the uncached scalar path, at pool sizes 1 and 4.
+    /// At pool sizes 1 and 4, the uncached scalar path bit-equals the
+    /// oracle, and the cache-miss, cache-hit and prepared-handle paths
+    /// bit-equal it.
     #[test]
     fn cached_paths_bit_identical_to_uncached(
         m in 1usize..16,
@@ -276,35 +283,36 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let scheme = SCHEMES[scheme_idx];
-        let a = Matrix::<f32>::random_uniform(m, k, seed);
-        let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
-        let want = cold_reference(scheme).gemm(&a, &b).d;
+        let ops = operands(m, k, n, scheme, seed);
+        let (a, b) = (&ops.a, &ops.b);
+        let want = cold_reference(scheme).gemm(a, b).d;
+        let bad = first_divergence(&want, &ops, None, scheme, 8, (0, k));
+        prop_assert!(bad.is_none(), "uncached path vs oracle ({:?}): {:?}", scheme, bad);
+
         for threads in [1usize, 4] {
             let eg = egemm_on(scheme, RuntimeConfig { threads, ..Default::default() });
-            let miss = eg.gemm(&a, &b).d; // cold cache: both operands miss
-            let hit = eg.gemm(&a, &b).d; // warm cache: both operands hit
-            let pb = eg.prepare(&b);
-            let prepared = eg.gemm_prepared(&a, &pb, None).d;
-            let prepared_again = eg.gemm_prepared(&a, &pb, None).d;
+            let miss = eg.gemm(a, b).d; // cold cache: B misses
+            let hit = eg.gemm(a, b).d; // warm cache: B hits
+            let pb = eg.prepare(b);
+            let prepared = eg.gemm_prepared(a, &pb, None).d;
+            let prepared_again = eg.gemm_prepared(a, &pb, None).d;
             for (name, d) in [
                 ("miss", &miss),
                 ("hit", &hit),
                 ("prepared", &prepared),
                 ("prepared_again", &prepared_again),
             ] {
-                for (x, y) in d.as_slice().iter().zip(want.as_slice()) {
-                    prop_assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{} path diverged ({:?}, threads={})",
-                        name,
-                        scheme,
-                        threads
-                    );
-                }
+                prop_assert_eq!(
+                    bits(d),
+                    bits(&want),
+                    "{} path diverged ({:?}, threads={})",
+                    name,
+                    scheme,
+                    threads
+                );
             }
-            let s = eg.runtime().cache_stats();
-            prop_assert!(s.hits >= 2, "warm call must hit both operands: {:?}", s);
+            let st = eg.runtime().cache_stats();
+            prop_assert!(st.hits >= 2, "warm call and prepare must hit B: {:?}", st);
         }
     }
 }
@@ -315,8 +323,8 @@ proptest! {
     /// Work-stealing pool sizes 2/4/8 under deliberately tiny blocking
     /// (many tiles per worker, so idle workers must steal, and every
     /// jc column's B panel is contended through the cooperative store)
-    /// agree bitwise with the 1-worker output across the staged, fused,
-    /// prepared-B, and split-K paths.
+    /// agree bitwise with the 1-worker output — itself checked against
+    /// the oracle — across the raw-B, prepared-B and split-K paths.
     #[test]
     fn pool_sizes_bit_identical_under_tiny_blocking(
         m in 1usize..32,
@@ -328,36 +336,36 @@ proptest! {
     ) {
         let scheme = SCHEMES[scheme_idx];
         let tk = 8usize;
-        let a = Matrix::<f32>::random_uniform(m, k, seed);
-        let b = Matrix::<f32>::random_uniform(k, n, seed + 1);
-        let sa = SplitMatrix::split(&a, scheme.split_scheme());
-        let sb = SplitMatrix::split(&b, scheme.split_scheme());
+        let ops = operands(m, k, n, scheme, seed);
         let cfg_for =
             |threads: usize| EngineConfig { mc: 5, nc: 9, kc: 7, threads, ..Default::default() };
-        let k_lo = (cut_num * k / 8).min(k - 1);
-        let bits = |d: &Matrix<f32>| d.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let range = ((cut_num * k / 8).min(k - 1), k);
+        let full = |threads| Plan { tk, cfg: cfg_for(threads), ..Plan::new(&ops.a, &ops.b, scheme) };
+        let sliced = |threads| Plan { k_range: Some(range), ..full(threads) };
 
-        let want = bits(&gemm_blocked(&sa, &sb, None, scheme, tk, cfg_for(1)));
-        let want_range = bits(&gemm_blocked_range(&sa, &sb, k_lo, k, scheme, tk, cfg_for(1)));
+        let want_d = run(full(1));
+        let bad = first_divergence(&want_d, &ops, None, scheme, tk, (0, k));
+        prop_assert!(bad.is_none(), "1-worker product vs oracle: {:?}", bad);
+        let want_range_d = run(sliced(1));
+        let bad = first_divergence(&want_range_d, &ops, None, scheme, tk, range);
+        prop_assert!(bad.is_none(), "1-worker slice vs oracle: {:?}", bad);
+        let (want, want_range) = (bits(&want_d), bits(&want_range_d));
 
         for threads in [2usize, 4, 8] {
-            let cfg = cfg_for(threads);
-            let staged = bits(&gemm_blocked(&sa, &sb, None, scheme, tk, cfg));
-            prop_assert_eq!(&staged, &want, "staged diverged (threads={})", threads);
-
-            let fused = bits(&gemm_blocked_fused(&a, &b, None, scheme, tk, cfg));
-            prop_assert_eq!(&fused, &want, "fused diverged (threads={})", threads);
+            let raw = bits(&run(full(threads)));
+            prop_assert_eq!(&raw, &want, "raw B diverged (threads={})", threads);
 
             let rt = EngineRuntime::new(RuntimeConfig {
                 threads,
                 cache_bytes: 0,
                 ..Default::default()
             });
-            let pb = prepare_b(&rt, &b, scheme.split_scheme(), tk, cfg);
-            let prepared = bits(&gemm_blocked_prepared(&rt, &sa, &pb, None, scheme, tk, cfg));
+            let pb = prepare_b_fused(&rt, &ops.b, scheme.split_scheme(), tk, cfg_for(threads));
+            let plan = Plan { tk, cfg: cfg_for(threads), ..Plan::new(&ops.a, &pb, scheme) };
+            let prepared = bits(&engine::gemm(&rt, &plan));
             prop_assert_eq!(&prepared, &want, "prepared-B diverged (threads={})", threads);
 
-            let ranged = bits(&gemm_blocked_range(&sa, &sb, k_lo, k, scheme, tk, cfg));
+            let ranged = bits(&run(sliced(threads)));
             prop_assert_eq!(&ranged, &want_range, "split-K diverged (threads={})", threads);
         }
     }
@@ -372,8 +380,7 @@ fn panel_store_packs_each_panel_exactly_once_per_call() {
     // has a 5x2 tile grid over 4 k-panels: 2*4 = 8 packs and
     // 5*2*4 - 8 = 32 reuse hits per cold call, at every pool size.
     let scheme = EmulationScheme::EgemmTc;
-    let tk = 8usize;
-    let (sa, sb) = split_pair(23, 29, 31, scheme, 55);
+    let ops = operands(23, 29, 31, scheme, 55);
     for threads in [1usize, 2, 4] {
         let rt = EngineRuntime::new(RuntimeConfig {
             threads,
@@ -389,7 +396,13 @@ fn panel_store_packs_each_panel_exactly_once_per_call() {
         };
         for call in 0..2 {
             let before = rt.sched_stats();
-            let _ = gemm_blocked_in(&rt, &sa, &sb, None, scheme, tk, cfg);
+            let _ = engine::gemm(
+                &rt,
+                &Plan {
+                    cfg,
+                    ..Plan::new(&ops.a, &ops.b, scheme)
+                },
+            );
             let d = rt.sched_stats().delta_since(&before);
             assert_eq!(
                 d.panels_packed, 8,
@@ -438,8 +451,8 @@ fn mutated_operand_misses_and_follows_new_data() {
 #[test]
 fn adversarial_shapes_bit_identical() {
     // 1 x k x 1, tile-size non-multiples, m << n, m >> n — every scheme,
-    // every tk, checked against the crate's entrywise oracle where
-    // tk = 8 (its fixed chunk depth) and the scalar replay otherwise.
+    // every tk, checked against the oracle (the crate's entrywise oracle
+    // itself at tk = 8).
     let shapes = [
         (1usize, 19usize, 1usize),
         (7, 13, 11),
@@ -448,7 +461,7 @@ fn adversarial_shapes_bit_identical() {
     ];
     for scheme in SCHEMES {
         for (m, k, n) in shapes {
-            let (sa, sb) = split_pair(m, k, n, scheme, 0xC0FFEE);
+            let ops = operands(m, k, n, scheme, 0xC0FFEE);
             for tk in [4usize, 8, 16] {
                 let cfg = EngineConfig {
                     mc: 5,
@@ -457,21 +470,13 @@ fn adversarial_shapes_bit_identical() {
                     threads: 2,
                     ..Default::default()
                 };
-                let d = gemm_blocked(&sa, &sb, None, scheme, tk, cfg);
-                for i in 0..m {
-                    for j in 0..n {
-                        let want = entrywise_tk(&sa, &sb, None, scheme, tk, 0, k, i, j);
-                        assert_eq!(
-                            d.get(i, j).to_bits(),
-                            want.to_bits(),
-                            "{scheme:?} {m}x{k}x{n} tk={tk} ({i},{j})"
-                        );
-                        if tk == 8 {
-                            let oracle = emulated_gemm_entrywise(&sa, &sb, None, scheme, i, j);
-                            assert_eq!(d.get(i, j).to_bits(), oracle.to_bits());
-                        }
-                    }
-                }
+                let d = run(Plan {
+                    tk,
+                    cfg,
+                    ..Plan::new(&ops.a, &ops.b, scheme)
+                });
+                let bad = first_divergence(&d, &ops, None, scheme, tk, (0, k));
+                assert!(bad.is_none(), "{scheme:?} {m}x{k}x{n} tk={tk}: {bad:?}");
             }
         }
     }
@@ -479,8 +484,8 @@ fn adversarial_shapes_bit_identical() {
 
 #[test]
 fn gemm_with_c_accumulation_regression() {
-    // The public API path (split + engine + C seed) bit-matches the
-    // entrywise oracle with the same C.
+    // The public API path (fused split + engine + C seed) bit-matches
+    // the entrywise oracle with the same C.
     let eg = Egemm::auto(DeviceSpec::t4());
     let a = Matrix::<f32>::random_uniform(18, 27, 5);
     let b = Matrix::<f32>::random_uniform(27, 14, 6);
@@ -499,20 +504,21 @@ fn gemm_with_c_accumulation_regression() {
 #[test]
 fn row_sampling_validates_upfront() {
     let scheme = EmulationScheme::EgemmTc;
-    let (sa, sb) = split_pair(6, 8, 4, scheme, 9);
+    let ops = operands(6, 8, 4, scheme, 9);
+    let (a, b) = (&ops.a, &ops.b);
     // Valid ascending sample works and bit-matches the full product.
-    let full = egemm::emulated_gemm(&sa, &sb, None, scheme);
-    let sampled = emulated_gemm_rows(&sa, &sb, &[1, 4, 5], scheme);
+    let full = egemm::emulated_gemm(a, b, None, scheme);
+    let sampled = emulated_gemm_rows(a, b, &[1, 4, 5], scheme);
     for (ri, &r) in [1usize, 4, 5].iter().enumerate() {
         for j in 0..4 {
             assert_eq!(sampled.get(ri, j).to_bits(), full.get(r, j).to_bits());
         }
     }
     // Out-of-range and unsorted inputs fail fast with clear messages.
-    let oob = std::panic::catch_unwind(|| emulated_gemm_rows(&sa, &sb, &[6], scheme));
+    let oob = std::panic::catch_unwind(|| emulated_gemm_rows(a, b, &[6], scheme));
     let msg = *oob.unwrap_err().downcast::<String>().unwrap();
     assert!(msg.contains("out of range"), "{msg}");
-    let dup = std::panic::catch_unwind(|| emulated_gemm_rows(&sa, &sb, &[2, 2], scheme));
+    let dup = std::panic::catch_unwind(|| emulated_gemm_rows(a, b, &[2, 2], scheme));
     let msg = *dup.unwrap_err().downcast::<String>().unwrap();
     assert!(msg.contains("strictly ascending"), "{msg}");
 }
@@ -539,31 +545,31 @@ proptest! {
         let scheme = SCHEMES[scheme_idx];
         let tk = [4usize, 8, 16][tk_idx];
         let threads = [1usize, 4][pool_idx];
-        let (sa, sb) = split_pair(m, k, n, scheme, seed);
+        let ops = operands(m, k, n, scheme, seed);
         let base = EngineConfig { mc: 8, nc: 32, kc: 16, threads, ..Default::default() };
-        let jit_cfg = EngineConfig { jit: true, ..base };
-        let int_cfg = EngineConfig { jit: false, ..base };
+        let with_jit = |jit, k_range| Plan {
+            k_range,
+            tk,
+            cfg: EngineConfig { jit, ..base },
+            ..Plan::new(&ops.a, &ops.b, scheme)
+        };
 
-        let dj = gemm_blocked(&sa, &sb, None, scheme, tk, jit_cfg);
-        let di = gemm_blocked(&sa, &sb, None, scheme, tk, int_cfg);
-        for (x, y) in dj.as_slice().iter().zip(di.as_slice()) {
-            prop_assert_eq!(
-                x.to_bits(), y.to_bits(),
-                "{:?} {}x{}x{} tk={} threads={}", scheme, m, k, n, tk, threads
-            );
-        }
+        let dj = run(with_jit(true, None));
+        let di = run(with_jit(false, None));
+        prop_assert_eq!(
+            bits(&dj), bits(&di),
+            "{:?} {}x{}x{} tk={} threads={}", scheme, m, k, n, tk, threads
+        );
 
         // Split-K slice: kernels bake the panel depth, so an offset
         // range exercises short first/last panels under the JIT too.
-        let k_lo = (cut_num * k / 8).min(k - 1);
-        let rj = gemm_blocked_range(&sa, &sb, k_lo, k, scheme, tk, jit_cfg);
-        let ri = gemm_blocked_range(&sa, &sb, k_lo, k, scheme, tk, int_cfg);
-        for (x, y) in rj.as_slice().iter().zip(ri.as_slice()) {
-            prop_assert_eq!(
-                x.to_bits(), y.to_bits(),
-                "range [{}..{}) {:?} tk={} threads={}", k_lo, k, scheme, tk, threads
-            );
-        }
+        let range = Some(((cut_num * k / 8).min(k - 1), k));
+        let rj = run(with_jit(true, range));
+        let ri = run(with_jit(false, range));
+        prop_assert_eq!(
+            bits(&rj), bits(&ri),
+            "range {:?} {:?} tk={} threads={}", range, scheme, tk, threads
+        );
     }
 }
 
@@ -576,10 +582,9 @@ fn jit_edge_masks_bit_identical() {
     // kc = 16 gives one looped panel (two tk=8 chunks) and one
     // ragged-only panel (4 deep).
     let scheme = EmulationScheme::MarkidisFourTerm; // most term planes
-    let tk = 8usize;
     for n in 1usize..=33 {
         let m = 4 + (n % 4) + 1; // rows residue 1..=4 across the sweep
-        let (sa, sb) = split_pair(m, 20, n, scheme, n as u64);
+        let ops = operands(m, 20, n, scheme, n as u64);
         let base = EngineConfig {
             mc: 8,
             nc: 64,
@@ -587,18 +592,17 @@ fn jit_edge_masks_bit_identical() {
             threads: 1,
             ..Default::default()
         };
-        let dj = gemm_blocked(&sa, &sb, None, scheme, tk, base);
-        let di = gemm_blocked(
-            &sa,
-            &sb,
-            None,
-            scheme,
-            tk,
-            EngineConfig { jit: false, ..base },
+        let with_jit = |jit| {
+            run(Plan {
+                cfg: EngineConfig { jit, ..base },
+                ..Plan::new(&ops.a, &ops.b, scheme)
+            })
+        };
+        assert_eq!(
+            bits(&with_jit(true)),
+            bits(&with_jit(false)),
+            "edge sweep n={n} m={m}"
         );
-        for (x, y) in dj.as_slice().iter().zip(di.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "edge sweep n={n} m={m}");
-        }
     }
 }
 
@@ -608,8 +612,7 @@ fn jit_cache_compiles_each_key_exactly_once() {
     // entirely by the compiled-kernel cache (and the per-worker memos)
     // without a single new compilation.
     let scheme = EmulationScheme::EgemmTc;
-    let tk = 8usize;
-    let (sa, sb) = split_pair(23, 29, 31, scheme, 91);
+    let ops = operands(23, 29, 31, scheme, 91);
     let rt = EngineRuntime::new(RuntimeConfig {
         threads: 2,
         ..Default::default()
@@ -621,9 +624,13 @@ fn jit_cache_compiles_each_key_exactly_once() {
         threads: 2,
         ..Default::default()
     };
-    let d1 = gemm_blocked_in(&rt, &sa, &sb, None, scheme, tk, cfg);
+    let plan = Plan {
+        cfg,
+        ..Plan::new(&ops.a, &ops.b, scheme)
+    };
+    let d1 = engine::gemm(&rt, &plan);
     let after1 = rt.cache_stats();
-    let d2 = gemm_blocked_in(&rt, &sa, &sb, None, scheme, tk, cfg);
+    let d2 = engine::gemm(&rt, &plan);
     let after2 = rt.cache_stats();
     assert_eq!(
         after1.jit_compiles, after2.jit_compiles,
@@ -642,7 +649,5 @@ fn jit_cache_compiles_each_key_exactly_once() {
     } else {
         assert_eq!(after1.jit_compiles, 0, "JIT unavailable but compiled");
     }
-    for (x, y) in d1.as_slice().iter().zip(d2.as_slice()) {
-        assert_eq!(x.to_bits(), y.to_bits(), "cached kernels changed the bits");
-    }
+    assert_eq!(bits(&d1), bits(&d2), "cached kernels changed the bits");
 }
