@@ -5,8 +5,10 @@
 //! embedder of `egemm_serve::TcpServer`), parses the Prometheus-style
 //! exposition, and redraws a compact ANSI dashboard: request and GEMM
 //! call rates (from counter deltas between polls), queue depth, batching
-//! ratio, cache and scheduler gauges, engine phase split, and the
-//! numerical-health histogram with its violation counter.
+//! ratio, cache and scheduler counters, engine phase split, and the
+//! numerical-health histogram with its violation counter. Engine and
+//! serve series carry a per-instance label (`runtime="N"`,
+//! `server="N"`); the dashboard sums each family across them.
 //!
 //! ```text
 //! egemm_top --connect 127.0.0.1:7070 [--interval MS] [--once]
@@ -50,8 +52,11 @@ fn scrape(addr: &str) -> Result<Scrape, String> {
     Ok(out)
 }
 
+/// Sum of a family's series across every label set (0 when absent).
 fn get(s: &Scrape, name: &str) -> f64 {
-    s.get(name).copied().unwrap_or(0.0)
+    s.iter()
+        .filter(|(n, _)| n.split('{').next() == Some(name))
+        .fold(0.0, |acc, (_, v)| acc + v)
 }
 
 /// Per-second rate of a counter between two scrapes (0 on first frame).
@@ -181,16 +186,16 @@ fn draw(addr: &str, prev: Option<&Scrape>, cur: &Scrape, dt: f64, clear: bool) {
     ));
     out.push_str(&format!(
         "  cache hits {:>9}   misses {:>6}   resident {:>10}B   staging saved {:>10}B\n",
-        fmt_si(get(cur, "egemm_cache_hits")),
-        fmt_si(get(cur, "egemm_cache_misses")),
+        fmt_si(get(cur, "egemm_cache_hits_total")),
+        fmt_si(get(cur, "egemm_cache_misses_total")),
         fmt_si(get(cur, "egemm_cache_resident_bytes")),
-        fmt_si(get(cur, "egemm_bytes_staging_saved")),
+        fmt_si(get(cur, "egemm_bytes_staging_saved_total")),
     ));
     out.push_str(&format!(
         "  steals     {:>9}   tiles stolen {:>6}   panel reuse {:>8}   spans dropped {:>6}\n",
-        fmt_si(get(cur, "egemm_sched_steals")),
-        fmt_si(get(cur, "egemm_sched_tiles_stolen")),
-        fmt_si(get(cur, "egemm_panel_reuse_hits")),
+        fmt_si(get(cur, "egemm_sched_steals_total")),
+        fmt_si(get(cur, "egemm_sched_tiles_stolen_total")),
+        fmt_si(get(cur, "egemm_panel_reuse_hits_total")),
         fmt_si(get(cur, "egemm_trace_spans_dropped_total")),
     ));
     out.push_str(&format!(

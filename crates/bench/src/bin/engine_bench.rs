@@ -423,7 +423,7 @@ fn bench_thread_sweep(shape: GemmShape, reps: usize, workers: &[usize]) -> Vec<S
 
             // Timed reps run with telemetry off (span recording would
             // tax exactly the contended claim path under test); the
-            // scheduler counters are always-on runtime atomics, so
+            // scheduler counters are always-on registry counters, so
             // their deltas still cover the timed calls.
             let sched0 = rt.sched_stats();
             let (t, _) = time_reps(|| run(&rt, &a, &b, scheme, cfg), reps);
@@ -439,10 +439,8 @@ fn bench_thread_sweep(shape: GemmShape, reps: usize, workers: &[usize]) -> Vec<S
             let report = GemmReport::collect(
                 format!("sweep workers={w}"),
                 start_ns,
-                cache0,
-                rt.cache_stats(),
-                sched0,
-                rt.sched_stats(),
+                rt.cache_stats().delta_since(&cache0),
+                rt.sched_stats().delta_since(&sched0),
             );
             telemetry::set_enabled(false);
 

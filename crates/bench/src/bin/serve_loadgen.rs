@@ -586,14 +586,16 @@ fn fetch_metrics(addr: std::net::SocketAddr) -> String {
         .to_string()
 }
 
-/// Value of one exposition series (exact name match, comments skipped).
+/// Sum of one exposition family across its label sets (`name` or
+/// `name{...}`; comments skipped), `None` when no series matches.
 fn series_value(exposition: &str, name: &str) -> Option<f64> {
     exposition
         .lines()
         .filter(|l| !l.starts_with('#'))
         .filter_map(|l| l.rsplit_once(' '))
-        .find(|(n, _)| *n == name)
-        .and_then(|(_, v)| v.parse().ok())
+        .filter(|(n, _)| n.split('{').next() == Some(name))
+        .filter_map(|(_, v)| v.parse::<f64>().ok())
+        .fold(None, |acc, v| Some(acc.unwrap_or(0.0) + v))
 }
 
 /// Metrics-plane smoke: probe every GEMM, drive a burst over TCP,

@@ -16,7 +16,9 @@
 //! packed B panels, split straight from the raw f32 operand
 //! ([`get_or_pack`](PanelCache::get_or_pack)). No split planes are ever
 //! resident; the split-plane bytes a pack never materialized are
-//! tallied in [`CacheStats::bytes_staging_saved`].
+//! tallied in [`CacheStats::bytes_staging_saved`]. Every count is a
+//! runtime-labelled registry instrument (see [`super::counters`]);
+//! [`CacheStats`] is a read of them.
 //!
 //! Concurrency: the map is a mutex-guarded `HashMap` of slots. Racing
 //! callers for the same key agree on one entry under the map lock, then
@@ -35,6 +37,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use super::counters::Counters;
 use super::pack::PackedB;
 
 /// Lock a mutex, recovering the guard if a previous holder panicked.
@@ -47,8 +50,9 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Counters describing the cache's lifetime behaviour. All counters are
-/// monotone except `bytes`, which is the current resident total.
+/// Snapshot of the runtime's cache and JIT counters, read off its
+/// registry instruments. All counters are monotone except the levels
+/// `bytes` and `jit_code_bytes`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that reused a prepared operand (including callers that
@@ -85,6 +89,23 @@ impl CacheStats {
             0.0
         } else {
             self.hits as f64 / total as f64
+        }
+    }
+
+    /// The counter movement since `before`; the levels (`bytes`,
+    /// `jit_code_bytes`) keep their current value.
+    pub fn delta_since(&self, before: &CacheStats) -> CacheStats {
+        CacheStats {
+            hits: self.hits - before.hits,
+            misses: self.misses - before.misses,
+            evictions: self.evictions - before.evictions,
+            bytes: self.bytes,
+            packs: self.packs - before.packs,
+            bytes_staging_saved: self.bytes_staging_saved - before.bytes_staging_saved,
+            jit_compiles: self.jit_compiles - before.jit_compiles,
+            jit_hits: self.jit_hits - before.jit_hits,
+            jit_compile_ns: self.jit_compile_ns - before.jit_compile_ns,
+            jit_code_bytes: self.jit_code_bytes,
         }
     }
 }
@@ -194,50 +215,20 @@ pub(crate) struct PanelCache {
     capacity_bytes: usize,
     map: Mutex<HashMap<CacheKey, Slot>>,
     clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    bytes: AtomicU64,
-    packs: AtomicU64,
-    staging_saved: AtomicU64,
+    /// The owning runtime's instruments: hit/miss/eviction/pack/staging
+    /// counters and the resident-bytes gauge the byte bound is
+    /// enforced against.
+    counters: Arc<Counters>,
 }
 
 impl PanelCache {
-    pub(crate) fn new(capacity_bytes: usize) -> PanelCache {
+    pub(crate) fn new(capacity_bytes: usize, counters: Arc<Counters>) -> PanelCache {
         PanelCache {
             capacity_bytes,
             map: Mutex::new(HashMap::new()),
             clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            packs: AtomicU64::new(0),
-            staging_saved: AtomicU64::new(0),
+            counters,
         }
-    }
-
-    pub(crate) fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            packs: self.packs.load(Ordering::Relaxed),
-            bytes_staging_saved: self.staging_saved.load(Ordering::Relaxed),
-            // The JIT series live in the runtime's kernel cache and are
-            // merged in by EngineRuntime::cache_stats.
-            jit_compiles: 0,
-            jit_hits: 0,
-            jit_compile_ns: 0,
-            jit_code_bytes: 0,
-        }
-    }
-
-    /// Tally split-plane bytes the fused pipeline avoided materializing
-    /// outside the cache (per-tile fused packs in the workers).
-    pub(crate) fn note_staging_saved(&self, bytes: u64) {
-        self.staging_saved.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Look up the entry for `key`, counting a hit if the slot already
@@ -247,7 +238,7 @@ impl PanelCache {
     /// detached entry.
     pub(crate) fn entry_for_key(&self, key: CacheKey) -> Arc<CacheEntry> {
         if self.capacity_bytes == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.cache_misses.inc();
             return Arc::new(CacheEntry::default());
         }
         let t_lookup = telemetry::span_start();
@@ -274,9 +265,9 @@ impl PanelCache {
             }
         };
         if inserted {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.cache_misses.inc();
         } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.cache_hits.inc();
         }
         telemetry::span_end(telemetry::Phase::CacheLookup, t_lookup, (!inserted) as u64);
         entry
@@ -306,8 +297,10 @@ impl PanelCache {
             }
         }
         telemetry::span_end(telemetry::Phase::CacheLookup, t_lookup, 0);
-        self.packs.fetch_add(1, Ordering::Relaxed);
-        self.note_staging_saved(split_plane_bytes(key.rows, key.cols) as u64);
+        self.counters.packs.inc();
+        self.counters
+            .staging_saved
+            .add(split_plane_bytes(key.rows, key.cols) as u64);
         let t_pack = telemetry::span_start();
         let packed = Arc::new(pack_fn());
         let new_bytes = packed.bytes();
@@ -330,13 +323,9 @@ impl PanelCache {
         let mut map = lock_unpoisoned(&self.map);
         if let Some(s) = map.get_mut(&key) {
             s.charged = s.charged - old_bytes + new_bytes;
-            if new_bytes >= old_bytes {
-                self.bytes
-                    .fetch_add((new_bytes - old_bytes) as u64, Ordering::Relaxed);
-            } else {
-                self.bytes
-                    .fetch_sub((old_bytes - new_bytes) as u64, Ordering::Relaxed);
-            }
+            self.counters
+                .cache_bytes
+                .add(new_bytes as i64 - old_bytes as i64);
         }
         self.evict_over_bound(&mut map, key);
     }
@@ -344,7 +333,7 @@ impl PanelCache {
     /// Evict least-recently-used slots (never `keep`, never the last
     /// resident slot) until the byte bound holds.
     fn evict_over_bound(&self, map: &mut HashMap<CacheKey, Slot>, keep: CacheKey) {
-        while self.bytes.load(Ordering::Relaxed) > self.capacity_bytes as u64 && map.len() > 1 {
+        while self.counters.cache_bytes.get() as u64 > self.capacity_bytes as u64 && map.len() > 1 {
             let victim = map
                 .iter()
                 .filter(|(k, _)| **k != keep)
@@ -352,8 +341,8 @@ impl PanelCache {
                 .map(|(k, _)| *k);
             let Some(v) = victim else { break };
             if let Some(s) = map.remove(&v) {
-                self.bytes.fetch_sub(s.charged as u64, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.counters.cache_bytes.add(-(s.charged as i64));
+                self.counters.cache_evictions.inc();
             }
         }
     }
@@ -391,6 +380,10 @@ mod tests {
         assert_eq!(fingerprint(&base), h0);
     }
 
+    fn new_cache(capacity_bytes: usize) -> PanelCache {
+        PanelCache::new(capacity_bytes, Arc::new(Counters::register()))
+    }
+
     /// Lookup + pack at panel depth 8, the shape most tests exercise.
     fn get_or_pack(
         cache: &PanelCache,
@@ -407,12 +400,12 @@ mod tests {
 
     #[test]
     fn hit_miss_and_pack_counting() {
-        let cache = PanelCache::new(usize::MAX);
+        let cache = new_cache(usize::MAX);
         let (mat, key) = operand(8, 8, 1);
         let p1 = get_or_pack(&cache, key, || pack(&mat));
         let p2 = get_or_pack(&cache, key, || panic!("second lookup must not pack"));
         assert!(Arc::ptr_eq(&p1, &p2));
-        let s = cache.stats();
+        let s = cache.counters.cache_stats();
         assert_eq!((s.hits, s.misses, s.packs), (1, 1, 1));
         // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes.
         assert_eq!(s.bytes, 2 * 4 * 8 * 16);
@@ -420,12 +413,12 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_retention() {
-        let cache = PanelCache::new(0);
+        let cache = new_cache(0);
         let (mat, key) = operand(4, 4, 2);
         for _ in 0..3 {
             get_or_pack(&cache, key, || pack(&mat));
         }
-        let s = cache.stats();
+        let s = cache.counters.cache_stats();
         assert_eq!((s.hits, s.misses, s.packs, s.bytes), (0, 3, 3, 0));
     }
 
@@ -433,7 +426,7 @@ mod tests {
     fn lru_eviction_respects_byte_bound() {
         // Each 8x8 pack charges 1024 bytes; a bound of 2500 holds two
         // entries, so inserting a third evicts the least recently used.
-        let cache = PanelCache::new(2500);
+        let cache = new_cache(2500);
         let (m1, k1) = operand(8, 8, 3);
         let (m2, k2) = operand(8, 8, 4);
         let (m3, k3) = operand(8, 8, 5);
@@ -442,14 +435,18 @@ mod tests {
         // Touch k1 so k2 is the LRU victim.
         get_or_pack(&cache, k1, || panic!("k1 should be resident"));
         get_or_pack(&cache, k3, || pack(&m3));
-        let s = cache.stats();
+        let s = cache.counters.cache_stats();
         assert_eq!(s.evictions, 1);
         assert!(s.bytes <= 2500, "resident {} over bound", s.bytes);
         // k1 survived, k2 was evicted.
         get_or_pack(&cache, k1, || panic!("k1 evicted unexpectedly"));
-        let before = cache.stats().packs;
+        let before = cache.counters.cache_stats().packs;
         get_or_pack(&cache, k2, || pack(&m2));
-        assert_eq!(cache.stats().packs, before + 1, "k2 should re-pack");
+        assert_eq!(
+            cache.counters.cache_stats().packs,
+            before + 1,
+            "k2 should re-pack"
+        );
     }
 
     #[test]
@@ -457,7 +454,7 @@ mod tests {
         // Regression: a panicking pack_fn poisons the entry's pack
         // mutex; the next caller used to abort on `.unwrap()`. It must
         // recover the guard and pack normally instead.
-        let cache = PanelCache::new(usize::MAX);
+        let cache = new_cache(usize::MAX);
         let (mat, key) = operand(8, 16, 11);
         let entry = cache.entry_for_key(key);
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -477,22 +474,22 @@ mod tests {
         // the counter must equal the packed allocation alone — after
         // hits it must not grow, and after eviction it must return
         // exactly to the surviving allocations.
-        let cache = PanelCache::new(3000);
+        let cache = new_cache(3000);
         let (m1, k1) = operand(8, 16, 21);
         let p1 = get_or_pack(&cache, k1, || pack(&m1));
         // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes — no 12-byte
         // per-element split residency on top.
         assert_eq!(p1.bytes(), 2 * 4 * 8 * 16);
-        assert_eq!(cache.stats().bytes, p1.bytes() as u64);
+        assert_eq!(cache.counters.cache_stats().bytes, p1.bytes() as u64);
         assert_eq!(
-            cache.stats().bytes_staging_saved,
+            cache.counters.cache_stats().bytes_staging_saved,
             split_plane_bytes(8, 16) as u64
         );
         // A hit reuses the allocation: resident bytes unchanged, no new
         // staging counted (nothing was packed).
         let p1b = get_or_pack(&cache, k1, || panic!("must be resident"));
         assert!(Arc::ptr_eq(&p1, &p1b));
-        let s = cache.stats();
+        let s = cache.counters.cache_stats();
         assert_eq!(s.bytes, p1.bytes() as u64);
         assert_eq!(s.bytes_staging_saved, split_plane_bytes(8, 16) as u64);
         // Two more entries (1024 B each) push past the 3000-byte bound;
@@ -502,7 +499,7 @@ mod tests {
         let p2 = get_or_pack(&cache, k2, || pack(&m2));
         let (m3, k3) = operand(8, 16, 23);
         let p3 = get_or_pack(&cache, k3, || pack(&m3));
-        let s = cache.stats();
+        let s = cache.counters.cache_stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.bytes, (p2.bytes() + p3.bytes()) as u64);
         assert_eq!(s.packs, 3);

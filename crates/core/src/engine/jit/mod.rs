@@ -39,14 +39,15 @@ pub use exec::exec_mappings;
 pub(crate) use ir::Isa;
 
 use super::cache::lock_unpoisoned;
+use super::counters::Counters;
 use super::micro::{load_acc, microkernel, store_acc, PlanePair};
 use super::pack::{MR, NR};
 use crate::envcfg::{self, EnvNum};
+use crate::telemetry::hist::LogHistogram;
 use crate::telemetry::{self, metrics};
 use exec::ExecBuf;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Arc, Mutex, Once, OnceLock};
 
 /// The argument block a compiled kernel receives (pointer in `rdi`).
 /// Only the output row stride is runtime-variable — everything else a
@@ -190,37 +191,29 @@ struct CompiledKernel {
     entry: KernelFn,
 }
 
-/// Fingerprint-keyed table of compiled kernels plus its counters, one
-/// per [`super::EngineRuntime`] beside the packed-operand cache. A
+/// Fingerprint-keyed table of compiled kernels, one per
+/// [`super::EngineRuntime`] beside the packed-operand cache, counting
+/// into the runtime's JIT instruments. A
 /// `None` slot records a key whose compile or verification failed —
 /// those fall back to the interpreted kernel forever instead of
 /// recompiling every call.
 pub(crate) struct KernelCache {
     isa: Option<Isa>,
     kernels: Mutex<HashMap<KernelKey, Option<CompiledKernel>>>,
-    compiles: AtomicU64,
-    hits: AtomicU64,
-    compile_ns: AtomicU64,
-    code_bytes: AtomicU64,
+    counters: Arc<Counters>,
 }
 
 impl KernelCache {
-    /// A cache for this process's capabilities. Registers the JIT
-    /// metrics families eagerly so the exposition carries them (at
-    /// zero) even on hosts where no kernel ever compiles.
-    pub(crate) fn new() -> KernelCache {
+    /// A cache for this process's capabilities, counting into the
+    /// runtime's `counters`.
+    pub(crate) fn new(counters: Arc<Counters>) -> KernelCache {
         if metrics::enabled() {
-            metrics::counter("egemm_jit_compiles_total");
-            metrics::counter("egemm_jit_cache_hits_total");
-            metrics::histogram("egemm_jit_compile_ns");
+            jit_compile_hist();
         }
         KernelCache {
             isa: if env_enabled() { supported_isa() } else { None },
             kernels: Mutex::new(HashMap::new()),
-            compiles: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            compile_ns: AtomicU64::new(0),
-            code_bytes: AtomicU64::new(0),
+            counters,
         }
     }
 
@@ -238,38 +231,33 @@ impl KernelCache {
         self.isa?;
         let mut map = lock_unpoisoned(&self.kernels);
         if let Some(slot) = map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            if metrics::enabled() {
-                metrics::counter("egemm_jit_cache_hits_total").inc();
-            }
+            self.counters.jit_hits.inc();
             return slot.as_ref().map(|k| k.entry);
         }
         let span = telemetry::span_start();
         let t0 = std::time::Instant::now();
         let compiled = compile(&key);
         let ns = t0.elapsed().as_nanos() as u64;
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        self.compile_ns.fetch_add(ns, Ordering::Relaxed);
         let bytes = compiled.as_ref().map_or(0, |k| k._buf.len() as u64);
-        self.code_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.counters.jit_compiles.inc();
+        self.counters.jit_compile_ns.add(ns);
+        self.counters.jit_code_bytes.add(bytes as i64);
         telemetry::span_end(telemetry::Phase::JitCompile, span, bytes);
         if metrics::enabled() {
-            metrics::counter("egemm_jit_compiles_total").inc();
-            metrics::histogram("egemm_jit_compile_ns").observe(ns);
+            jit_compile_hist().observe(ns);
         }
         let entry = compiled.as_ref().map(|k| k.entry);
         map.insert(key, compiled);
         entry
     }
+}
 
-    /// Merge this cache's counters into a [`super::CacheStats`]
-    /// snapshot.
-    pub(crate) fn fill_stats(&self, s: &mut super::CacheStats) {
-        s.jit_compiles = self.compiles.load(Ordering::Relaxed);
-        s.jit_hits = self.hits.load(Ordering::Relaxed);
-        s.jit_compile_ns = self.compile_ns.load(Ordering::Relaxed);
-        s.jit_code_bytes = self.code_bytes.load(Ordering::Relaxed);
-    }
+/// Process-wide compile-time distribution (gated, like every
+/// histogram), registered with the first kernel cache so the exposition
+/// carries the family even on hosts where nothing ever compiles.
+fn jit_compile_hist() -> &'static LogHistogram {
+    static H: OnceLock<Arc<LogHistogram>> = OnceLock::new();
+    H.get_or_init(|| metrics::histogram("egemm_jit_compile_ns"))
 }
 
 /// Per-worker memo over [`KernelCache::get`]: a tiny linear-scan table
@@ -489,7 +477,7 @@ mod tests {
 
     #[test]
     fn cache_compiles_once_and_counts_hits() {
-        let cache = KernelCache::new();
+        let cache = KernelCache::new(Arc::new(Counters::register()));
         if cache.isa().is_none() {
             return; // nothing to exercise on this host
         }
@@ -498,8 +486,7 @@ mod tests {
         let f1 = cache.get(key).expect("first get compiles");
         let f2 = cache.get(key).expect("second get hits");
         assert_eq!(f1 as usize, f2 as usize, "hit must return the same code");
-        let mut s = super::super::CacheStats::default();
-        cache.fill_stats(&mut s);
+        let s = cache.counters.cache_stats();
         assert_eq!(s.jit_compiles, 1, "exactly one compile per key");
         assert_eq!(s.jit_hits, 1);
         assert!(s.jit_code_bytes > 0 && s.jit_compile_ns > 0);
@@ -507,7 +494,7 @@ mod tests {
         let mut memo = KernelMemo::default();
         assert!(memo.get(&cache, key).is_some()); // shared hit
         assert!(memo.get(&cache, key).is_some()); // memo hit
-        cache.fill_stats(&mut s);
+        let s = cache.counters.cache_stats();
         assert_eq!(s.jit_hits, 2, "memo must absorb repeat lookups");
     }
 }

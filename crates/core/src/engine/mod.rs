@@ -41,6 +41,7 @@
 //! with `to_bits` equality.
 
 mod cache;
+mod counters;
 pub(crate) mod jit;
 mod micro;
 mod pack;
@@ -287,7 +288,9 @@ pub fn gemm(rt: &EngineRuntime, plan: &Plan<'_>) -> Matrix<f32> {
         BOperand::Raw(_) => split_plane_bytes(depth, n),
         BOperand::Prepared(_) => 0,
     };
-    rt.note_staging_saved((split_plane_bytes(m_out, depth) + b_bytes) as u64);
+    rt.counters()
+        .staging_saved
+        .add((split_plane_bytes(m_out, depth) + b_bytes) as u64);
     execute(rt, plan, (k_lo, k_hi), kc, &mut out);
     out
 }
@@ -430,7 +433,7 @@ fn worker(
     let mut a_hi = vec![0f32; a_cap];
     let mut a_lo = vec![0f32; a_cap];
     let mut rowbuf: Vec<usize> = Vec::with_capacity(ctx.mc);
-    let counters = rt.sched_counters();
+    let counters = rt.counters();
     // JIT dispatch state: the runtime's compiled-kernel cache (absent
     // when the call or the process opted out) plus a per-worker memo
     // that keeps the tile loop off the cache mutex.
@@ -450,7 +453,8 @@ fn worker(
             Claim::Done => break,
             Claim::Local(t) => t,
             Claim::Stolen { tile, batch } => {
-                counters.note_steal(batch as u64);
+                counters.steals.inc();
+                counters.tiles_stolen.add(batch as u64);
                 telemetry::span_end(telemetry::Phase::Steal, t_claim, batch as u64);
                 tile
             }
@@ -523,14 +527,14 @@ fn worker(
                         );
                     });
                     if packed_here {
-                        counters.note_panel_packed();
+                        counters.panels_packed.inc();
                         telemetry::span_end(
                             telemetry::Phase::FusedSplitPack,
                             t_pack,
                             (4 * 2 * b_len) as u64,
                         );
                     } else {
-                        counters.note_panel_reused();
+                        counters.panel_reuse_hits.inc();
                         telemetry::span_end(telemetry::Phase::PanelWait, t_pack, pc_idx as u64);
                     }
                     Some((bh, bl))

@@ -25,9 +25,10 @@
 //! bit-identical preparation work is reused or redone.
 
 use super::cache::{fingerprint, lock_unpoisoned, CacheKey, PanelCache};
+use super::counters::Counters;
 use super::jit;
 use super::pack::PackedB;
-use super::sched::{SchedCounters, SchedStats};
+use super::sched::SchedStats;
 use crate::envcfg::{self, EnvNum};
 use crate::telemetry;
 use egemm_fp::{SplitKernel, SplitScheme};
@@ -209,7 +210,7 @@ pub struct EngineRuntime {
     split_kernel: SplitKernel,
     cache: PanelCache,
     jit: jit::KernelCache,
-    sched: SchedCounters,
+    counters: Arc<Counters>,
     pool: Pool,
 }
 
@@ -218,8 +219,8 @@ impl std::fmt::Debug for EngineRuntime {
         f.debug_struct("EngineRuntime")
             .field("default_threads", &self.default_threads)
             .field("split_kernel", &self.split_kernel)
-            .field("cache_stats", &self.cache.stats())
-            .field("sched_stats", &self.sched.snapshot())
+            .field("cache_stats", &self.cache_stats())
+            .field("sched_stats", &self.sched_stats())
             .finish()
     }
 }
@@ -234,12 +235,13 @@ impl EngineRuntime {
         telemetry::init_from_env();
         telemetry::metrics::init_from_env();
         telemetry::probe::init_from_env();
+        let counters = Arc::new(Counters::register());
         Arc::new(EngineRuntime {
             default_threads: cfg.threads.max(1),
             split_kernel: cfg.split_kernel,
-            cache: PanelCache::new(cfg.cache_bytes),
-            jit: jit::KernelCache::new(),
-            sched: SchedCounters::default(),
+            cache: PanelCache::new(cfg.cache_bytes, counters.clone()),
+            jit: jit::KernelCache::new(counters.clone()),
+            counters,
             pool: Pool::new(),
         })
     }
@@ -264,11 +266,10 @@ impl EngineRuntime {
 
     /// Lifetime cache counters (hits/misses/evictions/resident bytes,
     /// plus how many packs actually executed, plus the
-    /// compiled-kernel cache's compiles/hits/compile-time/code-bytes).
+    /// compiled-kernel cache's compiles/hits/compile-time/code-bytes),
+    /// read off this runtime's registry instruments.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut s = self.cache.stats();
-        self.jit.fill_stats(&mut s);
-        s
+        self.counters.cache_stats()
     }
 
     /// The compiled-kernel cache, `Some` only when this process can run
@@ -286,12 +287,20 @@ impl EngineRuntime {
     /// cooperative panel-store packs vs. reuse hits. All monotone; take
     /// deltas ([`SchedStats::delta_since`]) for per-call views.
     pub fn sched_stats(&self) -> SchedStats {
-        self.sched.snapshot()
+        self.counters.sched_stats()
     }
 
-    /// The atomic counters workers update during a dispatch.
-    pub(crate) fn sched_counters(&self) -> &SchedCounters {
-        &self.sched
+    /// The label on every registry series of this runtime, e.g.
+    /// `runtime="3"`: its cache, JIT and scheduler counters in the
+    /// Prometheus exposition. The series leave the registry when the
+    /// runtime drops.
+    pub fn metrics_label(&self) -> &str {
+        self.counters.label()
+    }
+
+    /// The instruments workers bump during a dispatch.
+    pub(crate) fn counters(&self) -> &Counters {
+        &self.counters
     }
 
     /// Pack `src`'s B panels straight from the raw f32 data for
@@ -309,12 +318,6 @@ impl EngineRuntime {
             PackedB::pack_fused(src, scheme, self.split_kernel, kc)
         });
         PreparedOperand { packed, scheme }
-    }
-
-    /// Tally split-plane bytes the per-panel fused packs inside the
-    /// workers avoided materializing.
-    pub(crate) fn note_staging_saved(&self, bytes: u64) {
-        self.cache.note_staging_saved(bytes);
     }
 
     /// Run `f` on `workers` threads: the caller plus `workers - 1` pool

@@ -29,11 +29,11 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Scheduler counters, snapshotted per [`crate::EngineRuntime`]: how
-/// often work moved between workers and how often the cooperative panel
-/// store saved a redundant B pack. All fields are monotone over the
-/// runtime's lifetime; per-call views are deltas
-/// ([`SchedStats::delta_since`]).
+/// Scheduler counters of one [`crate::EngineRuntime`], read off its
+/// registry instruments: how often work moved between workers and how
+/// often the cooperative panel store saved a redundant B pack. All
+/// fields are monotone over the runtime's lifetime; per-call views are
+/// deltas ([`SchedStats::delta_since`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Successful steal operations (each transfers a contiguous range).
@@ -67,40 +67,6 @@ impl std::fmt::Display for SchedStats {
             "{} steal(s) moving {} tile(s); {} panel(s) packed, {} reused",
             self.steals, self.tiles_stolen, self.panels_packed, self.panel_reuse_hits
         )
-    }
-}
-
-/// The runtime-resident atomic counters behind [`SchedStats`]. Updates
-/// are relaxed — they are statistics, not synchronization.
-#[derive(Default)]
-pub(crate) struct SchedCounters {
-    steals: AtomicU64,
-    tiles_stolen: AtomicU64,
-    panels_packed: AtomicU64,
-    panel_reuse_hits: AtomicU64,
-}
-
-impl SchedCounters {
-    pub(crate) fn note_steal(&self, batch: u64) {
-        self.steals.fetch_add(1, Ordering::Relaxed);
-        self.tiles_stolen.fetch_add(batch, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_panel_packed(&self) {
-        self.panels_packed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_panel_reused(&self) {
-        self.panel_reuse_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn snapshot(&self) -> SchedStats {
-        SchedStats {
-            steals: self.steals.load(Ordering::Relaxed),
-            tiles_stolen: self.tiles_stolen.load(Ordering::Relaxed),
-            panels_packed: self.panels_packed.load(Ordering::Relaxed),
-            panel_reuse_hits: self.panel_reuse_hits.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -345,14 +311,14 @@ mod tests {
 
     #[test]
     fn sched_stats_delta_and_display() {
-        let c = SchedCounters::default();
-        c.note_steal(3);
-        c.note_panel_packed();
-        c.note_panel_reused();
-        c.note_panel_reused();
-        let before = SchedStats::default();
-        let after = c.snapshot();
-        let d = after.delta_since(&before);
+        let c = super::super::counters::Counters::register();
+        c.steals.inc();
+        let before = c.sched_stats();
+        c.steals.inc();
+        c.tiles_stolen.add(3);
+        c.panels_packed.inc();
+        c.panel_reuse_hits.add(2);
+        let d = c.sched_stats().delta_since(&before);
         assert_eq!(
             d,
             SchedStats {

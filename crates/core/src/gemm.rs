@@ -137,10 +137,8 @@ impl Egemm {
             GemmReport::collect(
                 label,
                 t0,
-                c0,
-                self.runtime.cache_stats(),
-                s0,
-                self.runtime.sched_stats(),
+                self.runtime.cache_stats().delta_since(&c0),
+                self.runtime.sched_stats().delta_since(&s0),
             )
         })
     }

@@ -1,26 +1,31 @@
-//! Process-wide lock-free metrics registry.
+//! Process-wide lock-free metrics registry: the one store for every
+//! count the engine and the serving tier keep.
 //!
 //! The registry aggregates across calls and across time — unlike
 //! [`GemmReport`](super::GemmReport), which is scoped to one traced
-//! call. Series are registered once (a mutex-guarded name lookup that
-//! leaks the instrument so it lives for the process), and call sites
-//! cache the returned `&'static` handle in a `OnceLock`, so the steady
-//! state hot path is exactly one relaxed atomic add per event — no
-//! locks, no allocation, no branches beyond the [`enabled`] gate.
+//! call. Process-wide series ([`counter`], [`gauge`], [`histogram`])
+//! are registered once by name and kept for the process; call sites
+//! cache the handle in a `OnceLock`. An [`InstrumentSet`] holds the
+//! counters and gauges of one engine runtime or server, labelled with
+//! the owner's process-unique id (`runtime="3"`) and removed from the
+//! registry when the owner drops; the owner's snapshot views
+//! (`CacheStats`, `SchedStats`, `ServeStats`) are plain reads of them.
+//! Either way the hot path is one relaxed atomic add on a handle the
+//! caller already holds.
 //!
-//! Series names follow Prometheus conventions and may embed a fixed
-//! label set directly: `egemm_engine_phase_ns_total{phase="tile"}`.
-//! The part before `{` is the family name; [`snapshot`] returns series
-//! sorted so one family's children render contiguously in the
-//! exposition (`telemetry::render_prometheus`).
+//! Series names may embed a fixed label set:
+//! `egemm_engine_phase_ns_total{phase="tile"}`. The part before `{` is
+//! the family name; [`snapshot`] sorts by family, then labels, so one
+//! family's series render contiguously (`telemetry::render_prometheus`).
 //!
-//! Recording is on by default; `EGEMM_METRICS=0` is the kill switch
-//! (parsed once via `envcfg`, same one-time-warning contract as
-//! `EGEMM_THREADS`). The gate only suppresses *recording* — reading a
-//! snapshot is always allowed.
+//! Recording is on by default; `EGEMM_METRICS=0` (parsed once via
+//! `envcfg`, same one-time-warning contract as `EGEMM_THREADS`) silences
+//! the [`enabled`]-gated process-wide series: histograms, call and
+//! phase totals, the probe. Instance-set counters back snapshot views
+//! and always count.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock};
+use std::sync::{Arc, Mutex, Once, OnceLock};
 
 use crate::envcfg::{self, EnvNum};
 
@@ -58,16 +63,22 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
+    /// Add `delta`, which may be negative (one relaxed atomic add).
+    pub fn add(&self, delta: i64) {
+        self.0.fetch_add(delta, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
 
+#[derive(Clone)]
 enum Slot {
-    Counter(&'static Counter),
-    Gauge(&'static Gauge),
-    Hist(&'static LogHistogram),
+    Counter(Arc<Counter>),
+    Gauge(Arc<Gauge>),
+    Hist(Arc<LogHistogram>),
 }
 
 impl Slot {
@@ -80,81 +91,131 @@ impl Slot {
     }
 }
 
-fn registry() -> &'static Mutex<Vec<(String, Slot)>> {
-    static REG: OnceLock<Mutex<Vec<(String, Slot)>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(Vec::new()))
+struct Series {
+    name: String,
+    /// The owning [`InstrumentSet`]'s id; 0 for process-wide series.
+    owner: u64,
+    slot: Slot,
 }
 
-fn lookup<T>(
-    name: &str,
-    wanted: &'static str,
-    extract: impl Fn(&Slot) -> Option<T>,
-    create: impl FnOnce() -> (Slot, T),
-) -> T {
-    let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    if let Some((_, slot)) = reg.iter().find(|(n, _)| n == name) {
-        return extract(slot).unwrap_or_else(|| {
-            panic!(
-                "metrics series {name:?} already registered as a {}, requested as a {wanted}",
-                slot.kind()
-            )
-        });
+static REGISTRY: Mutex<Vec<Series>> = Mutex::new(Vec::new());
+
+fn registry() -> std::sync::MutexGuard<'static, Vec<Series>> {
+    REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The series named `name`, registering `fresh` if there is none.
+/// Panics if the name is registered as a different instrument kind.
+fn register(name: String, owner: u64, fresh: Slot) -> Slot {
+    let mut reg = registry();
+    if let Some(s) = reg.iter().find(|s| s.name == name) {
+        let (have, want) = (s.slot.kind(), fresh.kind());
+        assert_eq!(
+            have, want,
+            "metrics series {name:?} already registered as a {have}, requested as a {want}"
+        );
+        return s.slot.clone();
     }
-    let (slot, handle) = create();
-    reg.push((name.to_string(), slot));
-    handle
-}
-
-/// Find or create the counter named `name` (labels may be embedded:
-/// `foo_total{phase="tile"}`). Panics if the name is already registered
-/// as a different instrument kind. Cache the result in a `OnceLock` at
-/// the call site; this function takes the registry lock.
-pub fn counter(name: &str) -> &'static Counter {
-    lookup(
+    reg.push(Series {
         name,
-        "counter",
-        |s| match s {
-            Slot::Counter(c) => Some(*c),
-            _ => None,
-        },
-        || {
-            let c: &'static Counter = Box::leak(Box::new(Counter::default()));
-            (Slot::Counter(c), c)
-        },
-    )
+        owner,
+        slot: fresh.clone(),
+    });
+    fresh
 }
 
-/// Find or create the gauge named `name`. Same contract as [`counter`].
-pub fn gauge(name: &str) -> &'static Gauge {
-    lookup(
-        name,
-        "gauge",
-        |s| match s {
-            Slot::Gauge(g) => Some(*g),
-            _ => None,
-        },
-        || {
-            let g: &'static Gauge = Box::leak(Box::new(Gauge::default()));
-            (Slot::Gauge(g), g)
-        },
-    )
+fn counter_in(name: String, owner: u64) -> Arc<Counter> {
+    match register(name, owner, Slot::Counter(Arc::default())) {
+        Slot::Counter(c) => c,
+        _ => unreachable!(),
+    }
 }
 
-/// Find or create the histogram named `name`. Same contract as
+fn gauge_in(name: String, owner: u64) -> Arc<Gauge> {
+    match register(name, owner, Slot::Gauge(Arc::default())) {
+        Slot::Gauge(g) => g,
+        _ => unreachable!(),
+    }
+}
+
+/// Find or create the process-wide counter named `name` (labels may be
+/// embedded: `foo_total{phase="tile"}`). Panics if the name is already
+/// registered as a different instrument kind. Cache the result in a
+/// `OnceLock` at the call site; this function takes the registry lock.
+pub fn counter(name: &str) -> Arc<Counter> {
+    counter_in(name.to_string(), 0)
+}
+
+/// Find or create the process-wide gauge named `name`. Same contract as
 /// [`counter`].
-pub fn histogram(name: &str) -> &'static LogHistogram {
-    lookup(
-        name,
-        "histogram",
-        |s| match s {
-            Slot::Hist(h) => Some(*h),
-            _ => None,
-        },
-        || {
-            let h: &'static LogHistogram = Box::leak(Box::new(LogHistogram::new()));
-            (Slot::Hist(h), h)
-        },
-    )
+pub fn gauge(name: &str) -> Arc<Gauge> {
+    gauge_in(name.to_string(), 0)
+}
+
+/// Find or create the process-wide histogram named `name`. Same
+/// contract as [`counter`].
+pub fn histogram(name: &str) -> Arc<LogHistogram> {
+    match register(
+        name.to_string(),
+        0,
+        Slot::Hist(Arc::new(LogHistogram::new())),
+    ) {
+        Slot::Hist(h) => h,
+        _ => unreachable!(),
+    }
+}
+
+/// The counters and gauges of one engine runtime or server, registered
+/// under a process-unique label and removed from the registry when the
+/// set drops — so building a runtime per property-test case leaves no
+/// series behind.
+#[derive(Debug)]
+pub struct InstrumentSet {
+    id: u64,
+    label: String,
+}
+
+impl InstrumentSet {
+    /// A new, empty set labelled `{kind}="N"`, where `N` is unique for
+    /// the life of the process.
+    pub fn new(kind: &str) -> InstrumentSet {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        InstrumentSet {
+            id,
+            label: format!("{kind}=\"{id}\""),
+        }
+    }
+
+    /// The label every series of this set carries, e.g. `runtime="3"`.
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// `family` (which may embed extra labels) with this set's label
+    /// prepended to its label body.
+    fn series(&self, family: &str) -> String {
+        match family.split_once('{') {
+            Some((f, rest)) => format!("{f}{{{},{rest}", self.label),
+            None => format!("{family}{{{}}}", self.label),
+        }
+    }
+
+    /// Register a counter of `family` in this set.
+    pub fn counter(&self, family: &str) -> Arc<Counter> {
+        counter_in(self.series(family), self.id)
+    }
+
+    /// Register a gauge of `family` in this set.
+    pub fn gauge(&self, family: &str) -> Arc<Gauge> {
+        gauge_in(self.series(family), self.id)
+    }
+}
+
+impl Drop for InstrumentSet {
+    fn drop(&mut self) {
+        registry().retain(|s| s.owner != self.id);
+    }
 }
 
 /// One series value in a [`snapshot`].
@@ -167,23 +228,26 @@ pub enum SeriesValue {
     Hist(Box<HistSnapshot>),
 }
 
-/// Point-in-time copy of every registered series, sorted by name so
-/// families render contiguously.
+/// Point-in-time copy of every registered series, sorted by family and
+/// then labels so families render contiguously.
 pub fn snapshot() -> Vec<(String, SeriesValue)> {
-    let reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    let mut out: Vec<(String, SeriesValue)> = reg
+    let mut out: Vec<(String, SeriesValue)> = registry()
         .iter()
-        .map(|(name, slot)| {
-            let value = match slot {
+        .map(|s| {
+            let value = match &s.slot {
                 Slot::Counter(c) => SeriesValue::Counter(c.get()),
                 Slot::Gauge(g) => SeriesValue::Gauge(g.get()),
                 Slot::Hist(h) => SeriesValue::Hist(Box::new(h.snapshot())),
             };
-            (name.clone(), value)
+            (s.name.clone(), value)
         })
         .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
+    out.sort_by(|a, b| family_then_labels(&a.0).cmp(&family_then_labels(&b.0)));
     out
+}
+
+fn family_then_labels(series: &str) -> (&str, &str) {
+    series.split_once('{').unwrap_or((series, ""))
 }
 
 // ---------------------------------------------------------------------------
@@ -245,8 +309,8 @@ pub fn record_gemm_call(flops: u64, batch: u64, wall_ns: u64) {
     if !enabled() {
         return;
     }
-    static CALLS: OnceLock<&'static Counter> = OnceLock::new();
-    static WALL: OnceLock<&'static LogHistogram> = OnceLock::new();
+    static CALLS: OnceLock<Arc<Counter>> = OnceLock::new();
+    static WALL: OnceLock<Arc<LogHistogram>> = OnceLock::new();
     CALLS
         .get_or_init(|| counter("egemm_gemm_calls_total"))
         .add(batch);
@@ -254,7 +318,7 @@ pub fn record_gemm_call(flops: u64, batch: u64, wall_ns: u64) {
         .observe(wall_ns);
     // MFLOP/s into a per-shape-bucket histogram. Four fixed buckets, so
     // four cached handles.
-    static MFLOPS: OnceLock<[&'static LogHistogram; 4]> = OnceLock::new();
+    static MFLOPS: OnceLock<[Arc<LogHistogram>; 4]> = OnceLock::new();
     let hists = MFLOPS.get_or_init(|| {
         ["tiny", "small", "medium", "large"]
             .map(|b| histogram(&format!("egemm_gemm_mflops{{shape=\"{b}\"}}")))
@@ -279,7 +343,7 @@ pub fn record_report(phase_ns: &[u64], spans_dropped: u64) {
     if !enabled() {
         return;
     }
-    static PHASES: OnceLock<Vec<&'static Counter>> = OnceLock::new();
+    static PHASES: OnceLock<Vec<Arc<Counter>>> = OnceLock::new();
     let phases = PHASES.get_or_init(|| {
         super::Phase::ALL
             .iter()
@@ -297,7 +361,7 @@ pub fn record_report(phase_ns: &[u64], spans_dropped: u64) {
         }
     }
     if spans_dropped > 0 {
-        static DROPPED: OnceLock<&'static Counter> = OnceLock::new();
+        static DROPPED: OnceLock<Arc<Counter>> = OnceLock::new();
         DROPPED
             .get_or_init(|| counter("egemm_trace_spans_dropped_total"))
             .add(spans_dropped);
@@ -312,7 +376,7 @@ mod tests {
     fn find_or_create_returns_same_handle() {
         let a = counter("test_metrics_same_handle_total");
         let b = counter("test_metrics_same_handle_total");
-        assert!(std::ptr::eq(a, b));
+        assert!(Arc::ptr_eq(&a, &b));
         a.add(2);
         b.inc();
         assert_eq!(a.get(), 3);
@@ -341,6 +405,33 @@ mod tests {
             SeriesValue::Gauge(v) => assert_eq!(v, -4),
             _ => panic!("wrong kind"),
         }
+    }
+
+    #[test]
+    fn instrument_set_labels_series_and_unregisters_on_drop() {
+        let set = InstrumentSet::new("test_owner");
+        let id = set.label().to_string();
+        set.counter("test_set_events_total").add(2);
+        set.counter("test_set_stage_total{stage=\"queued\"}").inc();
+        set.gauge("test_set_level").set(-3);
+        let series = |name: &str| {
+            snapshot()
+                .into_iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v)
+        };
+        let events = format!("test_set_events_total{{{id}}}");
+        let staged = format!("test_set_stage_total{{{id},stage=\"queued\"}}");
+        assert!(matches!(series(&events), Some(SeriesValue::Counter(2))));
+        assert!(matches!(series(&staged), Some(SeriesValue::Counter(1))));
+        assert!(matches!(
+            series(&format!("test_set_level{{{id}}}")),
+            Some(SeriesValue::Gauge(-3))
+        ));
+        // A second set of the same kind gets a different label.
+        assert_ne!(InstrumentSet::new("test_owner").label(), id);
+        drop(set);
+        assert!(series(&events).is_none() && series(&staged).is_none());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! `tests/telemetry.rs` enforces that.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Once, OnceLock};
+use std::sync::{Arc, Once, OnceLock};
 
 use egemm_matrix::Matrix;
 
@@ -117,9 +117,9 @@ fn probe_now(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    static HEALTH: OnceLock<&'static LogHistogram> = OnceLock::new();
-    static PROBES: OnceLock<&'static Counter> = OnceLock::new();
-    static VIOLATIONS: OnceLock<&'static Counter> = OnceLock::new();
+    static HEALTH: OnceLock<Arc<LogHistogram>> = OnceLock::new();
+    static PROBES: OnceLock<Arc<Counter>> = OnceLock::new();
+    static VIOLATIONS: OnceLock<Arc<Counter>> = OnceLock::new();
     let health = HEALTH.get_or_init(|| metrics::histogram("egemm_numerical_health"));
     let probes = PROBES.get_or_init(|| metrics::counter("egemm_numerical_health_probes_total"));
     let violations = VIOLATIONS.get_or_init(|| metrics::counter("egemm_bound_violations_total"));

@@ -7,7 +7,8 @@ use super::Phase;
 
 /// Aggregated telemetry for one engine call (a `gemm`, a batch, or a
 /// split-K product). Built by [`GemmReport::collect`] from the events
-/// drained since the call started plus cache-counter deltas; rendered
+/// drained since the call started plus the runtime-counter deltas;
+/// rendered
 /// by `Display` (summary table), [`GemmReport::to_json`], and
 /// [`GemmReport::chrome_trace`].
 #[derive(Debug, Clone)]
@@ -25,8 +26,8 @@ pub struct GemmReport {
     /// Bytes written into packed panels (pack-A + pack-B +
     /// fused-split-pack span details).
     pub bytes_packed: u64,
-    /// Cache counter deltas over the call (`bytes` is the resident
-    /// total after the call, not a delta).
+    /// Cache counter deltas over the call (the levels `bytes` and
+    /// `jit_code_bytes` are the totals after the call, not deltas).
     pub cache: CacheStats,
     /// Scheduler counter deltas over the call: steals, tiles moved by
     /// steals, and cooperative panel-store packs vs. reuse hits.
@@ -79,16 +80,14 @@ pub struct WorkerLane {
 impl GemmReport {
     /// Drain every trace ring and fold the events recorded since
     /// `start_ns` (a [`super::now_ns`] taken before the call) into a
-    /// report. `cache_before`/`cache_after` and
-    /// `sched_before`/`sched_after` bracket the call; the report stores
-    /// their monotone-counter deltas.
+    /// report, alongside the runtime's counter movement over the call
+    /// (`after.delta_since(&before)` of its cache and scheduler
+    /// snapshots).
     pub fn collect(
         label: impl Into<String>,
         start_ns: u64,
-        cache_before: CacheStats,
-        cache_after: CacheStats,
-        sched_before: SchedStats,
-        sched_after: SchedStats,
+        cache: CacheStats,
+        sched: SchedStats,
     ) -> GemmReport {
         let lanes = super::drain();
         let mut phase_ns = [0u64; Phase::COUNT];
@@ -143,21 +142,8 @@ impl GemmReport {
             phase_ns,
             phase_counts,
             bytes_packed,
-            cache: CacheStats {
-                hits: cache_after.hits - cache_before.hits,
-                misses: cache_after.misses - cache_before.misses,
-                evictions: cache_after.evictions - cache_before.evictions,
-                bytes: cache_after.bytes,
-                packs: cache_after.packs - cache_before.packs,
-                bytes_staging_saved: cache_after.bytes_staging_saved
-                    - cache_before.bytes_staging_saved,
-                jit_compiles: cache_after.jit_compiles - cache_before.jit_compiles,
-                jit_hits: cache_after.jit_hits - cache_before.jit_hits,
-                jit_compile_ns: cache_after.jit_compile_ns - cache_before.jit_compile_ns,
-                // Resident code bytes are a level, not a rate.
-                jit_code_bytes: cache_after.jit_code_bytes,
-            },
-            sched: sched_after.delta_since(&sched_before),
+            cache,
+            sched,
             workers,
             imbalance,
             dropped_events,

@@ -31,6 +31,7 @@
 
 use crate::queue::{lock_unpoisoned, TicketInner};
 use crate::request::GemmRequest;
+use egemm::telemetry::metrics::Gauge;
 use egemm::{content_fingerprint, EmulationScheme};
 use egemm_matrix::{GemmShape, Matrix};
 use std::collections::HashMap;
@@ -163,43 +164,33 @@ impl InFlightTable {
 /// later eviction never invalidates a delivered result.
 struct CachedResult {
     d: Arc<Matrix<f32>>,
-    bytes: u64,
+    bytes: i64,
     last_used: u64,
 }
 
 /// Byte-budgeted LRU over whole GEMM results, keyed by content.
-/// Capacity 0 disables the cache entirely (every lookup misses without
-/// recording a miss, so stats stay quiet when the feature is off).
+/// Capacity 0 disables the cache entirely. The caller counts hits,
+/// misses and evictions from the return values; the resident-bytes
+/// gauge is the server's registry instrument.
 pub(crate) struct ResultCache {
     map: Mutex<HashMap<ResultKey, CachedResult>>,
     cap_bytes: usize,
     clock: AtomicU64,
-    bytes: AtomicU64,
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub evictions: AtomicU64,
+    bytes: Arc<Gauge>,
 }
 
 impl ResultCache {
-    pub(crate) fn new(cap_bytes: usize) -> ResultCache {
+    pub(crate) fn new(cap_bytes: usize, bytes: Arc<Gauge>) -> ResultCache {
         ResultCache {
             map: Mutex::new(HashMap::new()),
             cap_bytes,
             clock: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            bytes,
         }
     }
 
     pub(crate) fn enabled(&self) -> bool {
         self.cap_bytes > 0
-    }
-
-    /// Current resident bytes.
-    pub(crate) fn resident_bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Look up a key, refreshing its recency on a hit.
@@ -209,30 +200,20 @@ impl ResultCache {
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut map = lock_unpoisoned(&self.map);
-        match map.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.d))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        map.get_mut(key).map(|entry| {
+            entry.last_used = stamp;
+            Arc::clone(&entry.d)
+        })
     }
 
     /// Insert a computed result, evicting least-recently-used entries
-    /// until the byte budget holds. A result larger than the whole
-    /// budget is not cached (it would evict everything for one entry
-    /// that can never be held).
-    pub(crate) fn insert(&self, key: ResultKey, d: &Matrix<f32>) {
-        if !self.enabled() {
-            return;
-        }
-        let bytes = std::mem::size_of_val(d.as_slice()) as u64;
-        if bytes > self.cap_bytes as u64 {
-            return;
+    /// until the byte budget holds; returns how many were evicted. A
+    /// result larger than the whole budget is not cached (it would
+    /// evict everything for one entry that can never be held).
+    pub(crate) fn insert(&self, key: ResultKey, d: &Matrix<f32>) -> u64 {
+        let bytes = std::mem::size_of_val(d.as_slice()) as i64;
+        if !self.enabled() || bytes > self.cap_bytes as i64 {
+            return 0;
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut map = lock_unpoisoned(&self.map);
@@ -244,10 +225,11 @@ impl ResultCache {
                 last_used: stamp,
             },
         ) {
-            self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
+            self.bytes.add(-old.bytes);
         }
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        while self.bytes.load(Ordering::Relaxed) > self.cap_bytes as u64 && map.len() > 1 {
+        self.bytes.add(bytes);
+        let mut evicted = 0;
+        while self.bytes.get() > self.cap_bytes as i64 && map.len() > 1 {
             let victim = map
                 .iter()
                 .filter(|(k, _)| **k != key)
@@ -255,10 +237,11 @@ impl ResultCache {
                 .map(|(k, _)| *k);
             let Some(victim) = victim else { break };
             if let Some(e) = map.remove(&victim) {
-                self.bytes.fetch_sub(e.bytes, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.bytes.add(-e.bytes);
+                evicted += 1;
             }
         }
+        evicted
     }
 }
 
@@ -280,37 +263,36 @@ mod tests {
     #[test]
     fn result_cache_lru_respects_byte_budget() {
         // 4x4 f32 = 64 bytes per entry; budget holds two.
-        let cache = ResultCache::new(128);
+        let cache = ResultCache::new(128, Arc::default());
         let m = Matrix::<f32>::random_uniform(4, 4, 1);
-        cache.insert(key(1), &m);
-        cache.insert(key(2), &m);
-        assert_eq!(cache.resident_bytes(), 128);
+        assert_eq!(cache.insert(key(1), &m), 0);
+        assert_eq!(cache.insert(key(2), &m), 0);
+        assert_eq!(cache.bytes.get(), 128);
         assert!(cache.get(&key(1)).is_some(), "both entries fit");
         // Key 2 is now the LRU victim.
-        cache.insert(key(3), &m);
+        assert_eq!(cache.insert(key(3), &m), 1, "one LRU entry evicted");
         assert!(cache.get(&key(2)).is_none(), "LRU entry evicted");
         assert!(cache.get(&key(1)).is_some());
         assert!(cache.get(&key(3)).is_some());
-        assert_eq!(cache.evictions.load(Ordering::Relaxed), 1);
-        assert_eq!(cache.resident_bytes(), 128);
+        assert_eq!(cache.bytes.get(), 128);
     }
 
     #[test]
     fn result_cache_capacity_zero_is_off() {
-        let cache = ResultCache::new(0);
+        let cache = ResultCache::new(0, Arc::default());
         let m = Matrix::<f32>::random_uniform(4, 4, 1);
-        cache.insert(key(1), &m);
+        assert_eq!(cache.insert(key(1), &m), 0);
         assert!(cache.get(&key(1)).is_none());
-        assert_eq!(cache.misses.load(Ordering::Relaxed), 0, "off = quiet");
-        assert_eq!(cache.resident_bytes(), 0);
+        assert!(!cache.enabled(), "off = the server counts no lookups");
+        assert_eq!(cache.bytes.get(), 0);
     }
 
     #[test]
     fn oversized_result_is_not_cached() {
-        let cache = ResultCache::new(32);
+        let cache = ResultCache::new(32, Arc::default());
         let m = Matrix::<f32>::random_uniform(4, 4, 1); // 64 bytes
         cache.insert(key(1), &m);
-        assert_eq!(cache.resident_bytes(), 0);
+        assert_eq!(cache.bytes.get(), 0);
     }
 
     #[test]

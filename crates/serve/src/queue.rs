@@ -14,6 +14,7 @@
 //! before the thread exits — so [`Ticket::wait`] never hangs forever.
 
 use crate::request::{GemmRequest, ServeError, ServeOutput};
+use egemm::telemetry::metrics::Gauge;
 use egemm::EmulationScheme;
 use egemm_matrix::GemmShape;
 use std::collections::VecDeque;
@@ -175,10 +176,13 @@ pub(crate) struct AdmissionQueue {
     /// Signals the scheduler: work arrived or shutdown began.
     pub work: Condvar,
     pub cap: usize,
+    /// The server's queue-depth gauge, set under the state lock on
+    /// every push and drain.
+    pub depth: Arc<Gauge>,
 }
 
 impl AdmissionQueue {
-    pub(crate) fn new(cap: usize) -> AdmissionQueue {
+    pub(crate) fn new(cap: usize, depth: Arc<Gauge>) -> AdmissionQueue {
         AdmissionQueue {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
@@ -187,6 +191,7 @@ impl AdmissionQueue {
             }),
             work: Condvar::new(),
             cap: cap.max(1),
+            depth,
         }
     }
 
@@ -202,9 +207,16 @@ impl AdmissionQueue {
             });
         }
         st.queue.push_back(pending);
-        crate::stats::reg::set_queue_depth(st.queue.len());
+        self.depth.set(st.queue.len() as i64);
         self.work.notify_one();
         Ok(())
+    }
+
+    /// Take everything queued and zero the depth gauge; the caller
+    /// holds the state lock.
+    pub(crate) fn drain_all(&self, st: &mut QueueState) -> Vec<Pending> {
+        self.depth.set(0);
+        st.queue.drain(..).collect()
     }
 
     /// Begin shutdown: stop admitting, wake the scheduler for its final
@@ -243,12 +255,22 @@ mod tests {
 
     #[test]
     fn queue_rejects_when_full_and_after_close() {
-        let q = AdmissionQueue::new(2);
+        let q = AdmissionQueue::new(2, Arc::default());
         assert!(q.push(pending()).is_ok());
         assert!(q.push(pending()).is_ok());
         assert_eq!(q.push(pending()), Err(ServeError::Busy { queued: 2 }));
         q.close();
         assert_eq!(q.push(pending()), Err(ServeError::Shutdown));
+    }
+
+    #[test]
+    fn depth_gauge_follows_push_and_drain() {
+        let q = AdmissionQueue::new(4, Arc::default());
+        assert!(q.push(pending()).is_ok());
+        assert!(q.push(pending()).is_ok());
+        assert_eq!(q.depth.get(), 2);
+        assert_eq!(q.drain_all(&mut lock_unpoisoned(&q.state)).len(), 2);
+        assert_eq!(q.depth.get(), 0);
     }
 
     #[test]

@@ -51,7 +51,6 @@ mod imp {
     use crate::queue::lock_unpoisoned;
     use crate::request::ServeError;
     use crate::server::Client;
-    use crate::stats::reg;
     use crate::wire;
     use std::collections::HashMap;
     use std::io::Write;
@@ -235,7 +234,7 @@ mod imp {
             // the deadline passed) — half-close, then drop.
             for (_, conn) in self.conns.drain() {
                 let _ = conn.stream.shutdown(Shutdown::Write);
-                reg::connections_delta(-1);
+                self.client.counters().open_connections.add(-1);
             }
         }
 
@@ -308,7 +307,7 @@ mod imp {
                             continue;
                         }
                         self.conns.insert(id, conn);
-                        reg::connections_delta(1);
+                        self.client.counters().open_connections.add(1);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -419,7 +418,7 @@ mod imp {
                                 payload: payload.to_vec(),
                             });
                             if !retrying {
-                                reg::bump(reg::backpressure_pauses);
+                                self.client.counters().backpressure_pauses.inc();
                             }
                             return;
                         }
@@ -531,7 +530,7 @@ mod imp {
                         0,
                         0,
                     );
-                    reg::connections_delta(-1);
+                    self.client.counters().open_connections.add(-1);
                 }
             }
         }

@@ -3,7 +3,7 @@
 use crate::dedupe::{Attach, Follower, InFlightTable, ResultCache, ResultKey};
 use crate::queue::{lock_unpoisoned, AdmissionQueue, BucketKey, Pending, Ticket, TicketInner};
 use crate::request::{GemmRequest, JobKind, ServeError, ServeOutput};
-use crate::stats::{reg, ServeStats, StatsInner};
+use crate::stats::{ServeStats, StatsInner};
 use egemm::telemetry::{self, GemmReport, RequestTrace};
 use egemm::Egemm;
 use egemm_matrix::Matrix;
@@ -105,23 +105,8 @@ pub(crate) struct ServerInner {
 type PrimaryOk<'a> = (&'a Matrix<f32>, usize, Option<&'a Arc<GemmReport>>);
 
 impl ServerInner {
-    /// Serve counters plus the engine-side counters that live on the
-    /// shared runtime: fused-pipeline staging savings and the
-    /// work-stealing scheduler's steal / panel-reuse totals. Folding
-    /// them in at snapshot time covers every dispatch through this
-    /// server's engine without double-counting per request.
     fn stats_snapshot(&self) -> ServeStats {
-        let mut s = self.stats.snapshot();
-        let rt = self.engine.runtime();
-        s.bytes_staging_saved = rt.cache_stats().bytes_staging_saved;
-        let sched = rt.sched_stats();
-        s.tiles_stolen = sched.tiles_stolen;
-        s.panel_reuse_hits = sched.panel_reuse_hits;
-        s.result_cache_hits = self.results.hits.load(Ordering::Relaxed);
-        s.result_cache_misses = self.results.misses.load(Ordering::Relaxed);
-        s.result_cache_evictions = self.results.evictions.load(Ordering::Relaxed);
-        s.result_cache_bytes = self.results.resident_bytes();
-        s
+        self.stats.snapshot(self.engine.runtime())
     }
 
     /// Clear `key`'s in-flight entry and fan the primary's outcome out to
@@ -131,7 +116,8 @@ impl ServerInner {
     /// handover window while the cache is on.
     fn resolve(&self, key: &ResultKey, outcome: Result<PrimaryOk<'_>, &ServeError>) {
         if let Ok((d, _, _)) = outcome {
-            self.results.insert(*key, d);
+            let evicted = self.results.insert(*key, d);
+            self.stats.result_cache_evictions.add(evicted);
         }
         let followers = self.inflight.resolve(key);
         if followers.is_empty() {
@@ -142,8 +128,7 @@ impl ServerInner {
             match outcome {
                 Err(e) => {
                     if matches!(e, ServeError::Engine(_)) {
-                        StatsInner::bump(&self.stats.engine_failures);
-                        reg::bump(reg::engine_failures);
+                        self.stats.engine_failures.inc();
                     }
                     f.ticket.fulfill(Err(e.clone()));
                 }
@@ -151,8 +136,7 @@ impl ServerInner {
                     // A follower may carry its own deadline even though
                     // the primary did not; honour it at delivery.
                     if f.deadline.is_some_and(|dl| dl <= finished) {
-                        StatsInner::bump(&self.stats.timed_out_after);
-                        reg::bump(reg::deadline_misses);
+                        self.stats.timed_out_after.inc();
                         f.ticket.fulfill(Err(ServeError::TimedOut {
                             after_dispatch: true,
                         }));
@@ -160,8 +144,7 @@ impl ServerInner {
                     }
                     let total_ns = finished.duration_since(f.admitted).as_nanos() as u64;
                     self.stats.record_latency(total_ns);
-                    StatsInner::bump(&self.stats.completed);
-                    reg::bump(reg::completed);
+                    self.stats.completed.inc();
                     f.ticket.fulfill(Ok(ServeOutput {
                         d: d.clone(),
                         request_id: f.request_id,
@@ -192,14 +175,14 @@ impl Server {
     /// by every dispatch, so bucket after bucket hits the same packed
     /// operand cache and parked worker pool.
     pub fn start(engine: Egemm, cfg: ServerConfig) -> Server {
-        reg::touch_all();
+        let stats = StatsInner::new();
         let inner = Arc::new(ServerInner {
             engine,
-            queue: AdmissionQueue::new(cfg.queue_cap),
-            stats: StatsInner::new(),
+            queue: AdmissionQueue::new(cfg.queue_cap, stats.queue_depth.clone()),
             next_request_id: AtomicU64::new(1),
             inflight: InFlightTable::default(),
-            results: ResultCache::new(cfg.result_cache_bytes),
+            results: ResultCache::new(cfg.result_cache_bytes, stats.result_cache_bytes.clone()),
+            stats,
             cfg,
         });
         let sched_inner = Arc::clone(&inner);
@@ -257,11 +240,9 @@ impl Client {
     /// [`ServeError::Invalid`], [`ServeError::Shutdown`]).
     pub fn submit(&self, req: GemmRequest) -> Result<Ticket, ServeError> {
         let inner = &*self.inner;
-        StatsInner::bump(&inner.stats.submitted);
-        reg::bump(reg::requests);
+        inner.stats.submitted.inc();
         if let Err(msg) = validate(&req, inner.cfg.allow_nonfinite) {
-            StatsInner::bump(&inner.stats.rejected_invalid);
-            reg::bump(reg::invalid);
+            inner.stats.rejected_invalid.inc();
             return Err(ServeError::Invalid(msg));
         }
         let admitted = Instant::now();
@@ -276,11 +257,10 @@ impl Client {
         // Layer 1: memoized result cache. A hit answers without touching
         // the queue at all (and therefore works even under Busy).
         if let Some(d) = inner.results.get(&content) {
-            reg::bump(reg::result_cache_hits);
+            inner.stats.result_cache_hits.inc();
             let total_ns = admitted.elapsed().as_nanos() as u64;
             inner.stats.record_latency(total_ns);
-            StatsInner::bump(&inner.stats.completed);
-            reg::bump(reg::completed);
+            inner.stats.completed.inc();
             ticket.fulfill(Ok(ServeOutput {
                 d: (*d).clone(),
                 request_id,
@@ -294,7 +274,7 @@ impl Client {
             return Ok(Ticket { inner: ticket });
         }
         if inner.results.enabled() {
-            reg::bump(reg::result_cache_misses);
+            inner.stats.result_cache_misses.inc();
         }
 
         // Layer 2: in-flight dedupe. Attach to an identical primary (one
@@ -309,9 +289,8 @@ impl Client {
                     request_id,
                 }) {
                 Attach::Followed => {
-                    StatsInner::bump(&inner.stats.dedup_hits);
-                    reg::bump(reg::dedup_hits);
-                    StatsInner::bump(&inner.stats.admitted);
+                    inner.stats.dedup_hits.inc();
+                    inner.stats.admitted.inc();
                     return Ok(Ticket { inner: ticket });
                 }
                 Attach::Primary => Some(content),
@@ -338,13 +317,12 @@ impl Client {
         };
         match inner.queue.push(pending) {
             Ok(()) => {
-                StatsInner::bump(&inner.stats.admitted);
+                inner.stats.admitted.inc();
                 Ok(Ticket { inner: ticket })
             }
             Err(e) => {
                 if matches!(e, ServeError::Busy { .. }) {
-                    StatsInner::bump(&inner.stats.rejected_busy);
-                    reg::bump(reg::busy_rejects);
+                    inner.stats.rejected_busy.inc();
                 }
                 // The primary never enqueued: clear its registration and
                 // answer any follower that raced in with the same
@@ -369,29 +347,27 @@ impl Client {
         self.inner.stats_snapshot()
     }
 
-    /// The full Prometheus text exposition for this process: every
-    /// engine and serve series in the registry, plus scrape-time gauges
-    /// read off this server's engine runtime (cache and scheduler
-    /// lifetime counters, which live on the runtime rather than in the
-    /// registry). This is what the TCP frontend's `METRICS` verb
-    /// returns.
+    /// The full Prometheus text exposition for this process
+    /// ([`telemetry::render_prometheus`]): every engine and serve series
+    /// in the registry, this server's under
+    /// [`metrics_label`](Client::metrics_label) and its engine
+    /// runtime's under `runtime.metrics_label()`. This is what the TCP
+    /// frontends' `METRICS` verb returns.
     pub fn metrics_text(&self) -> String {
-        use egemm::telemetry::metrics;
-        if metrics::enabled() {
-            let rt = self.inner.engine.runtime();
-            let cache = rt.cache_stats();
-            metrics::gauge("egemm_cache_hits").set(cache.hits as i64);
-            metrics::gauge("egemm_cache_misses").set(cache.misses as i64);
-            metrics::gauge("egemm_cache_resident_bytes").set(cache.bytes as i64);
-            metrics::gauge("egemm_bytes_staging_saved").set(cache.bytes_staging_saved as i64);
-            metrics::gauge("egemm_jit_code_bytes").set(cache.jit_code_bytes as i64);
-            let sched = rt.sched_stats();
-            metrics::gauge("egemm_sched_steals").set(sched.steals as i64);
-            metrics::gauge("egemm_sched_tiles_stolen").set(sched.tiles_stolen as i64);
-            metrics::gauge("egemm_panel_reuse_hits").set(sched.panel_reuse_hits as i64);
-            reg::result_cache_bytes().set(self.inner.results.resident_bytes() as i64);
-        }
         telemetry::render_prometheus()
+    }
+
+    /// The label on every registry series of this server, e.g.
+    /// `server="4"`. The series leave the registry when the server and
+    /// its last client drop.
+    pub fn metrics_label(&self) -> &str {
+        self.inner.stats.label()
+    }
+
+    /// The server's instruments, for the frontends' connection and
+    /// backpressure counts.
+    pub(crate) fn counters(&self) -> &StatsInner {
+        &self.inner.stats
     }
 }
 
@@ -466,12 +442,11 @@ fn scheduler(inner: &ServerInner) {
             Ok(()) => return, // clean shutdown drain finished
             Err(_) => {
                 // Answer anything still queued, then resume serving.
-                let drained: Vec<Pending> = {
-                    let mut st = lock_unpoisoned(&inner.queue.state);
-                    st.queue.drain(..).collect()
-                };
+                let drained = inner
+                    .queue
+                    .drain_all(&mut lock_unpoisoned(&inner.queue.state));
                 for p in drained {
-                    StatsInner::bump(&inner.stats.engine_failures);
+                    inner.stats.engine_failures.inc();
                     let err =
                         ServeError::Engine("scheduler cycle panicked; request abandoned".into());
                     if let Some(k) = &p.result_key {
@@ -508,9 +483,7 @@ fn scheduler_loop(inner: &ServerInner) {
                 std::thread::sleep(inner.cfg.batch_window);
                 st = lock_unpoisoned(&inner.queue.state);
             }
-            let drained: Vec<Pending> = st.queue.drain(..).collect();
-            reg::set_queue_depth(st.queue.len());
-            drained
+            inner.queue.drain_all(&mut st)
         };
         dispatch_cycle(inner, snapshot);
     }
@@ -563,8 +536,7 @@ fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
     let mut live: Vec<Pending> = Vec::with_capacity(chunk.len());
     for p in chunk {
         if p.deadline.is_some_and(|d| d <= now) {
-            StatsInner::bump(&inner.stats.timed_out_before);
-            reg::bump(reg::deadline_misses);
+            inner.stats.timed_out_before.inc();
             let err = ServeError::TimedOut {
                 after_dispatch: false,
             };
@@ -601,8 +573,7 @@ fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
         .collect();
     let reqs: Vec<GemmRequest> = live.into_iter().map(|p| p.req).collect();
 
-    StatsInner::bump(&inner.stats.engine_calls);
-    reg::bump(reg::engine_calls);
+    inner.stats.engine_calls.inc();
     let engine = inner.engine.clone().with_scheme(key.scheme);
     let result = catch_unwind(AssertUnwindSafe(|| run_engine(&engine, key, reqs)));
 
@@ -627,11 +598,9 @@ fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
             for (d, meta) in ds.into_iter().zip(metas) {
                 let total_ns = finished.duration_since(meta.admitted).as_nanos() as u64;
                 inner.stats.record_latency(total_ns);
-                StatsInner::bump(&inner.stats.dispatched);
-                reg::bump(reg::dispatched);
+                inner.stats.dispatched.inc();
                 if batched_with >= 2 {
-                    StatsInner::bump(&inner.stats.coalesced);
-                    reg::bump(reg::batched_requests);
+                    inner.stats.coalesced.inc();
                 }
                 // Memoize and fan out to followers before `d` moves into
                 // the primary's own response.
@@ -639,14 +608,12 @@ fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
                     inner.resolve(k, Ok((&d, batched_with, report.as_ref())));
                 }
                 if meta.deadline.is_some_and(|dl| dl <= finished) {
-                    StatsInner::bump(&inner.stats.timed_out_after);
-                    reg::bump(reg::deadline_misses);
+                    inner.stats.timed_out_after.inc();
                     meta.ticket.fulfill(Err(ServeError::TimedOut {
                         after_dispatch: true,
                     }));
                 } else {
-                    StatsInner::bump(&inner.stats.completed);
-                    reg::bump(reg::completed);
+                    inner.stats.completed.inc();
                     meta.ticket.fulfill(Ok(ServeOutput {
                         shape: key.shape,
                         d,
@@ -664,8 +631,7 @@ fn dispatch_chunk(inner: &ServerInner, key: BucketKey, chunk: Vec<Pending>) {
             let msg = panic_message(&payload);
             let err = ServeError::Engine(msg);
             for meta in metas {
-                StatsInner::bump(&inner.stats.engine_failures);
-                reg::bump(reg::engine_failures);
+                inner.stats.engine_failures.inc();
                 if let Some(k) = &meta.result_key {
                     inner.resolve(k, Err(&err));
                 }

@@ -4,143 +4,53 @@
 //! counters describe the serving tier from the outside: how many
 //! requests arrived, how many were rejected or expired, how well the
 //! batcher coalesced, and what the request latency distribution looks
-//! like. Counter updates are single relaxed atomics on the serving hot
-//! path; latency samples go into a fixed-size overwrite-oldest ring
-//! (the same discipline as the telemetry trace rings — recording never
-//! allocates after construction). Exporters mirror the `GemmReport`
-//! conventions: `Display` for humans, [`ServeStats::to_json`] for
-//! machines.
+//! like. Every count is a registry instrument of the server's labelled
+//! set (`server="N"`), bumped once per event with one relaxed add;
+//! [`ServeStats`] (the `STATS` verb) and the Prometheus exposition (the
+//! `METRICS` verb) both read those instruments, so they always agree.
+//! Latency samples go into a fixed-size overwrite-oldest ring (the same
+//! discipline as the telemetry trace rings — recording never allocates
+//! after construction). Exporters mirror the `GemmReport` conventions:
+//! `Display` for humans, [`ServeStats::to_json`] for machines.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+use egemm::telemetry::metrics::{Counter, Gauge, InstrumentSet};
+use egemm::EngineRuntime;
 
 use crate::queue::lock_unpoisoned;
-
-/// Cached handles into the engine's process-wide metrics registry for
-/// the serve-layer series. Each accessor pays the registry lookup once
-/// (a `OnceLock`), so bumping a counter on the serving hot path is one
-/// relaxed atomic add — the same discipline as [`StatsInner`], which
-/// remains the in-band `STATS`-verb source; the registry is the
-/// out-of-band scrape plane.
-pub(crate) mod reg {
-    use egemm::telemetry::metrics::{self, Counter, Gauge};
-    use std::sync::OnceLock;
-
-    macro_rules! serve_counter {
-        ($name:ident, $series:literal) => {
-            pub(crate) fn $name() -> &'static Counter {
-                static H: OnceLock<&'static Counter> = OnceLock::new();
-                H.get_or_init(|| metrics::counter($series))
-            }
-        };
-    }
-
-    serve_counter!(requests, "egemm_serve_requests_total");
-    serve_counter!(busy_rejects, "egemm_serve_busy_rejects_total");
-    serve_counter!(invalid, "egemm_serve_invalid_total");
-    serve_counter!(deadline_misses, "egemm_serve_deadline_misses_total");
-    serve_counter!(completed, "egemm_serve_completed_total");
-    serve_counter!(engine_failures, "egemm_serve_engine_failures_total");
-    serve_counter!(engine_calls, "egemm_serve_engine_calls_total");
-    serve_counter!(dispatched, "egemm_serve_dispatched_total");
-    serve_counter!(batched_requests, "egemm_serve_batched_requests_total");
-    serve_counter!(dedup_hits, "egemm_serve_dedup_hits_total");
-    serve_counter!(result_cache_hits, "egemm_serve_result_cache_hits_total");
-    serve_counter!(result_cache_misses, "egemm_serve_result_cache_misses_total");
-    serve_counter!(
-        result_cache_evictions,
-        "egemm_serve_result_cache_evictions_total"
-    );
-    serve_counter!(backpressure_pauses, "egemm_serve_backpressure_pauses_total");
-
-    pub(crate) fn queue_depth() -> &'static Gauge {
-        static H: OnceLock<&'static Gauge> = OnceLock::new();
-        H.get_or_init(|| metrics::gauge("egemm_serve_queue_depth"))
-    }
-
-    pub(crate) fn open_connections() -> &'static Gauge {
-        static H: OnceLock<&'static Gauge> = OnceLock::new();
-        H.get_or_init(|| metrics::gauge("egemm_serve_open_connections"))
-    }
-
-    pub(crate) fn result_cache_bytes() -> &'static Gauge {
-        static H: OnceLock<&'static Gauge> = OnceLock::new();
-        H.get_or_init(|| metrics::gauge("egemm_serve_result_cache_bytes"))
-    }
-
-    /// Bump a serve counter, honouring the global metrics gate.
-    pub(crate) fn bump(c: fn() -> &'static Counter) {
-        if metrics::enabled() {
-            c().inc();
-        }
-    }
-
-    /// Set the queue-depth gauge, honouring the global metrics gate.
-    pub(crate) fn set_queue_depth(depth: usize) {
-        if metrics::enabled() {
-            queue_depth().set(depth as i64);
-        }
-    }
-
-    /// Adjust the open-connections gauge by `delta` (accept / close on
-    /// either frontend).
-    pub(crate) fn connections_delta(delta: i64) {
-        if metrics::enabled() {
-            let g = open_connections();
-            g.set(g.get() + delta);
-        }
-    }
-
-    /// Touch every serve series once so a scrape taken before the first
-    /// event still lists the full family set (a zero counter is
-    /// informative; an absent one looks like a wiring bug). Called from
-    /// `Server::start`.
-    pub(crate) fn touch_all() {
-        let _ = (
-            requests(),
-            busy_rejects(),
-            invalid(),
-            deadline_misses(),
-            completed(),
-            engine_failures(),
-            engine_calls(),
-            dispatched(),
-            batched_requests(),
-            dedup_hits(),
-            result_cache_hits(),
-            result_cache_misses(),
-            result_cache_evictions(),
-            backpressure_pauses(),
-            queue_depth(),
-            open_connections(),
-            result_cache_bytes(),
-        );
-    }
-}
 
 /// Latency samples retained for quantile estimation.
 const LATENCY_RING: usize = 4096;
 
-/// Lock-free-ish (one mutex around the sample ring, atomics elsewhere)
-/// accumulator owned by the server.
+/// One server's instruments (registered at start, removed from the
+/// registry when the server and its last client drop; series families
+/// in [`StatsInner::new`]) plus its latency ring. Counter fields are
+/// named after the [`ServeStats`] field they back.
 pub(crate) struct StatsInner {
-    pub submitted: AtomicU64,
-    pub admitted: AtomicU64,
-    pub rejected_busy: AtomicU64,
-    pub rejected_invalid: AtomicU64,
-    pub timed_out_before: AtomicU64,
-    pub timed_out_after: AtomicU64,
-    pub completed: AtomicU64,
-    pub engine_failures: AtomicU64,
-    /// Engine calls issued by the scheduler (each serves >= 1 request).
-    pub engine_calls: AtomicU64,
-    /// Requests served through those calls (completed + late-timeout).
-    pub dispatched: AtomicU64,
-    /// Requests that rode in a bucket of size >= 2.
-    pub coalesced: AtomicU64,
-    /// Requests that attached to an identical in-flight request instead
-    /// of dispatching (one engine call fanned out to N tickets).
-    pub dedup_hits: AtomicU64,
+    pub submitted: Arc<Counter>,
+    pub admitted: Arc<Counter>,
+    pub rejected_busy: Arc<Counter>,
+    pub rejected_invalid: Arc<Counter>,
+    pub timed_out_before: Arc<Counter>,
+    pub timed_out_after: Arc<Counter>,
+    pub completed: Arc<Counter>,
+    pub engine_failures: Arc<Counter>,
+    pub engine_calls: Arc<Counter>,
+    pub dispatched: Arc<Counter>,
+    pub coalesced: Arc<Counter>,
+    pub dedup_hits: Arc<Counter>,
+    pub result_cache_hits: Arc<Counter>,
+    pub result_cache_misses: Arc<Counter>,
+    pub result_cache_evictions: Arc<Counter>,
+    /// The result cache's resident bytes, which its budget is enforced
+    /// against.
+    pub result_cache_bytes: Arc<Gauge>,
+    /// Event-frontend read pauses (not part of [`ServeStats`]).
+    pub backpressure_pauses: Arc<Counter>,
+    pub queue_depth: Arc<Gauge>,
+    pub open_connections: Arc<Gauge>,
+    set: InstrumentSet,
     latencies: Mutex<LatencyRing>,
 }
 
@@ -152,19 +62,28 @@ struct LatencyRing {
 
 impl StatsInner {
     pub(crate) fn new() -> StatsInner {
+        let set = InstrumentSet::new("server");
         StatsInner {
-            submitted: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            rejected_busy: AtomicU64::new(0),
-            rejected_invalid: AtomicU64::new(0),
-            timed_out_before: AtomicU64::new(0),
-            timed_out_after: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            engine_failures: AtomicU64::new(0),
-            engine_calls: AtomicU64::new(0),
-            dispatched: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            dedup_hits: AtomicU64::new(0),
+            submitted: set.counter("egemm_serve_requests_total"),
+            admitted: set.counter("egemm_serve_admitted_total"),
+            rejected_busy: set.counter("egemm_serve_busy_rejects_total"),
+            rejected_invalid: set.counter("egemm_serve_invalid_total"),
+            timed_out_before: set.counter("egemm_serve_deadline_misses_total{stage=\"queued\"}"),
+            timed_out_after: set.counter("egemm_serve_deadline_misses_total{stage=\"dispatched\"}"),
+            completed: set.counter("egemm_serve_completed_total"),
+            engine_failures: set.counter("egemm_serve_engine_failures_total"),
+            engine_calls: set.counter("egemm_serve_engine_calls_total"),
+            dispatched: set.counter("egemm_serve_dispatched_total"),
+            coalesced: set.counter("egemm_serve_batched_requests_total"),
+            dedup_hits: set.counter("egemm_serve_dedup_hits_total"),
+            result_cache_hits: set.counter("egemm_serve_result_cache_hits_total"),
+            result_cache_misses: set.counter("egemm_serve_result_cache_misses_total"),
+            result_cache_evictions: set.counter("egemm_serve_result_cache_evictions_total"),
+            result_cache_bytes: set.gauge("egemm_serve_result_cache_bytes"),
+            backpressure_pauses: set.counter("egemm_serve_backpressure_pauses_total"),
+            queue_depth: set.gauge("egemm_serve_queue_depth"),
+            open_connections: set.gauge("egemm_serve_open_connections"),
+            set,
             latencies: Mutex::new(LatencyRing {
                 samples: Vec::with_capacity(LATENCY_RING),
                 next: 0,
@@ -173,8 +92,9 @@ impl StatsInner {
         }
     }
 
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// The label on every series of this server, e.g. `server="4"`.
+    pub(crate) fn label(&self) -> &str {
+        self.set.label()
     }
 
     /// Record one admission-to-response latency.
@@ -190,31 +110,35 @@ impl StatsInner {
         ring.next = (ring.next + 1) % LATENCY_RING;
     }
 
-    pub(crate) fn snapshot(&self) -> ServeStats {
+    /// Read every counter, plus the engine-side totals that live on
+    /// `rt`'s instruments (staging savings, steals, panel reuse).
+    pub(crate) fn snapshot(&self, rt: &EngineRuntime) -> ServeStats {
         let (p50_ns, p99_ns) = {
             let ring = lock_unpoisoned(&self.latencies);
             quantiles(&ring.samples)
         };
+        let cache = rt.cache_stats();
+        let sched = rt.sched_stats();
         ServeStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected_busy: self.rejected_busy.load(Ordering::Relaxed),
-            rejected_invalid: self.rejected_invalid.load(Ordering::Relaxed),
-            timed_out_before: self.timed_out_before.load(Ordering::Relaxed),
-            timed_out_after: self.timed_out_after.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            engine_failures: self.engine_failures.load(Ordering::Relaxed),
-            engine_calls: self.engine_calls.load(Ordering::Relaxed),
-            dispatched: self.dispatched.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            dedup_hits: self.dedup_hits.load(Ordering::Relaxed),
-            result_cache_hits: 0,
-            result_cache_misses: 0,
-            result_cache_evictions: 0,
-            result_cache_bytes: 0,
-            bytes_staging_saved: 0,
-            tiles_stolen: 0,
-            panel_reuse_hits: 0,
+            submitted: self.submitted.get(),
+            admitted: self.admitted.get(),
+            rejected_busy: self.rejected_busy.get(),
+            rejected_invalid: self.rejected_invalid.get(),
+            timed_out_before: self.timed_out_before.get(),
+            timed_out_after: self.timed_out_after.get(),
+            completed: self.completed.get(),
+            engine_failures: self.engine_failures.get(),
+            engine_calls: self.engine_calls.get(),
+            dispatched: self.dispatched.get(),
+            coalesced: self.coalesced.get(),
+            dedup_hits: self.dedup_hits.get(),
+            result_cache_hits: self.result_cache_hits.get(),
+            result_cache_misses: self.result_cache_misses.get(),
+            result_cache_evictions: self.result_cache_evictions.get(),
+            result_cache_bytes: self.result_cache_bytes.get() as u64,
+            bytes_staging_saved: cache.bytes_staging_saved,
+            tiles_stolen: sched.tiles_stolen,
+            panel_reuse_hits: sched.panel_reuse_hits,
             p50_ns,
             p99_ns,
         }
@@ -265,8 +189,7 @@ pub struct ServeStats {
     /// own.
     pub dedup_hits: u64,
     /// Content-addressed result cache hits (served without any
-    /// dispatch). Snapshot-sourced from the server's [`ResultCache`],
-    /// like the engine-runtime counters below.
+    /// dispatch).
     pub result_cache_hits: u64,
     /// Result-cache lookups that missed (0 while the cache is disabled).
     pub result_cache_misses: u64,
@@ -275,18 +198,16 @@ pub struct ServeStats {
     /// Bytes currently resident in the result cache.
     pub result_cache_bytes: u64,
     /// Split-plane staging bytes the engine's fused split-and-pack
-    /// pipeline avoided, summed over the server's lifetime. Read from
-    /// the shared engine runtime at snapshot time (not a serve-side
-    /// counter), so it covers every dispatch through this server's
-    /// engine.
+    /// pipeline avoided over the lifetime of the server's engine
+    /// runtime. Read off the runtime's counters at snapshot time (not a
+    /// serve-side counter), so it covers every dispatch through that
+    /// runtime.
     pub bytes_staging_saved: u64,
-    /// Tiles moved between engine workers by work-stealing, summed over
-    /// the server's lifetime (read from the shared engine runtime at
-    /// snapshot time, like `bytes_staging_saved`).
+    /// Tiles moved between engine workers by work-stealing (read off
+    /// the engine runtime's counters, like `bytes_staging_saved`).
     pub tiles_stolen: u64,
     /// B panels served from the engine's cooperative panel store
-    /// instead of being re-packed per tile, summed over the server's
-    /// lifetime (same runtime-snapshot sourcing).
+    /// instead of being re-packed per tile (same runtime sourcing).
     pub panel_reuse_hits: u64,
     /// Median admission-to-response latency over the retained window.
     pub p50_ns: u64,
@@ -413,9 +334,9 @@ mod tests {
     #[test]
     fn batched_ratio_and_json() {
         let s = StatsInner::new();
-        s.engine_calls.store(4, Ordering::Relaxed);
-        s.dispatched.store(10, Ordering::Relaxed);
-        let snap = s.snapshot();
+        s.engine_calls.add(4);
+        s.dispatched.add(10);
+        let snap = s.snapshot(&EngineRuntime::new(Default::default()));
         assert!((snap.batched_ratio() - 2.5).abs() < 1e-12);
         let j = snap.to_json();
         assert!(j.contains("\"batched_ratio\":2.5000"), "{j}");

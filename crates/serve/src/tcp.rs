@@ -110,7 +110,7 @@ fn handle_connection(stream: TcpStream, client: &Client) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    crate::stats::reg::connections_delta(1);
+    client.counters().open_connections.add(1);
     let mut reader = BufReader::new(stream);
     let mut writer = write_half;
     // The loop ends on EOF (`Ok(None)`) or a transport failure.
@@ -162,7 +162,7 @@ fn handle_connection(stream: TcpStream, client: &Client) {
             break;
         }
     }
-    crate::stats::reg::connections_delta(-1);
+    client.counters().open_connections.add(-1);
 }
 
 #[cfg(test)]

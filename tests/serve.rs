@@ -17,6 +17,7 @@ use egemm_matrix::Matrix;
 use egemm_serve::{GemmRequest, JobKind, ServeError, Server, ServerConfig};
 use egemm_tcsim::DeviceSpec;
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// An engine on a private runtime with a pinned pool size (tests must
@@ -224,21 +225,37 @@ fn deadline_expires_before_dispatch() {
 /// reported as a timeout — with the `after_dispatch` flag set.
 #[test]
 fn deadline_expires_after_dispatch() {
-    let server = Server::start(engine(1), ServerConfig::default());
-    let client = server.client();
-    // Big enough that the emulated call comfortably outlives a 10 ms
-    // deadline; the scheduler dequeues in microseconds, so the deadline
-    // is still live at dispatch.
-    let a = Matrix::<f32>::random_uniform(256, 256, 1);
+    // Size the request from a measured rate so the call outlives its
+    // deadline by at least 4x on any build and host: time one warm
+    // 256^3 call on the runtime the server will use (outside the server,
+    // so its counters stay untouched), then grow the square side until
+    // the predicted call takes 4x the deadline. Growing all three
+    // dimensions keeps the admission-side work (validation, content
+    // fingerprints — linear in operand size) small next to the cubic
+    // engine time, so the deadline is still live at dispatch.
+    let deadline = Duration::from_millis(25);
+    let eg = engine(1);
     let b = Matrix::<f32>::random_uniform(256, 256, 2);
+    eg.gemm(&Matrix::random_uniform(256, 256, 3), &b); // JIT + B pack
+    let t0 = std::time::Instant::now();
+    eg.gemm(&Matrix::random_uniform(256, 256, 4), &b);
+    let warm = t0.elapsed();
+    let scale = (4.0 * deadline.as_secs_f64() / warm.as_secs_f64()).cbrt();
+    let side = (256.0 * scale.max(1.0)).ceil() as usize;
+
+    let server = Server::start(eg, ServerConfig::default());
+    let client = server.client();
+    let a = Matrix::<f32>::random_uniform(side, side, 1);
+    let b = Matrix::<f32>::random_uniform(side, side, 2);
     let err = client
-        .call(GemmRequest::gemm(a, b).with_deadline(Duration::from_millis(10)))
+        .call(GemmRequest::gemm(a, b).with_deadline(deadline))
         .unwrap_err();
     assert_eq!(
         err,
         ServeError::TimedOut {
             after_dispatch: true
-        }
+        },
+        "{side}^3 request (warm 256^3 took {warm:?})"
     );
     let stats = server.stats();
     assert_eq!(stats.timed_out_after, 1);
@@ -372,5 +389,197 @@ fn split_k_served_bit_identical() {
     let out = client.call(req).expect("served");
     let direct = cold().gemm_split_k(&a, &b, 4);
     assert_eq!(out.d.as_slice(), direct.d.as_slice());
+    server.shutdown();
+}
+
+/// Sum of `family`'s series carrying every label in `labels` in a
+/// Prometheus text exposition.
+fn series(text: &str, family: &str, labels: &[&str]) -> u64 {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .filter(|(name, _)| {
+            name.split_once('{').is_some_and(|(f, body)| {
+                let body: Vec<&str> = body.trim_end_matches('}').split(',').collect();
+                f == family && labels.iter().all(|l| body.contains(l))
+            })
+        })
+        .map(|(_, v)| v.parse::<u64>().expect("integer sample"))
+        .sum()
+}
+
+/// One server that has seen an invalid request, then, inside one
+/// 500 ms batch window: a primary, an identical follower (dedupe
+/// attach, no queue slot), a 1 ms deadline that expires while queued,
+/// and a third distinct request the cap-2 queue rejects. `None` if the
+/// window closed before the reject; the reject proves the primary was
+/// still queued, so the follower attached.
+fn busy_window_scenario() -> Option<(Server, Arc<EngineRuntime>)> {
+    let rt = EngineRuntime::new(RuntimeConfig {
+        threads: 1,
+        ..RuntimeConfig::default()
+    });
+    let eg = Egemm::new(DeviceSpec::t4(), TilingConfig::T4_PAPER).with_runtime(rt.clone());
+    let server = Server::start(
+        eg,
+        ServerConfig {
+            queue_cap: 2,
+            batch_window: Duration::from_millis(500),
+            ..ServerConfig::default()
+        },
+    );
+    let client = server.client();
+    let b = Matrix::<f32>::random_uniform(16, 16, 2);
+    let gemm = |seed: u64| GemmRequest::gemm(Matrix::random_uniform(16, 16, seed), b.clone());
+
+    let invalid = client.call(GemmRequest::gemm(Matrix::zeros(4, 5), Matrix::zeros(4, 4)));
+    assert!(matches!(invalid, Err(ServeError::Invalid(_))));
+    let primary = client.submit(gemm(10)).expect("admitted");
+    let follower = client.submit(gemm(10)).expect("attached");
+    let expiring = client
+        .submit(gemm(11).with_deadline(Duration::from_millis(1)))
+        .expect("admitted");
+    let rejected = client.submit(gemm(12));
+    primary.wait().expect("primary served");
+    follower.wait().expect("follower served");
+    assert_eq!(
+        expiring.wait().unwrap_err(),
+        ServeError::TimedOut {
+            after_dispatch: false
+        }
+    );
+    match rejected {
+        Err(ServeError::Busy { .. }) => Some((server, rt)),
+        Err(e) => panic!("unexpected rejection: {e:?}"),
+        Ok(late) => {
+            late.wait().expect("late request served");
+            server.shutdown();
+            None
+        }
+    }
+}
+
+/// The `STATS` snapshot and the `METRICS` exposition read the same
+/// instruments: after one server has seen a busy reject, an invalid
+/// request, a memo hit, a dedupe attach, a queued deadline expiry and
+/// an engine panic, every `ServeStats` counter equals the series with
+/// that server's (or its engine runtime's) label.
+#[test]
+fn stats_and_metrics_agree() {
+    // A descheduled test thread can miss the batch window; then the
+    // busy reject does not happen and the scenario reruns on a fresh
+    // server.
+    let (server, rt) = (0..5)
+        .find_map(|_| busy_window_scenario())
+        .expect("five attempts all missed the batch window");
+    let client = server.client();
+    let b = Matrix::<f32>::random_uniform(16, 16, 2);
+    let gemm = |seed: u64| GemmRequest::gemm(Matrix::random_uniform(16, 16, seed), b.clone());
+    assert!(client.call(gemm(10)).expect("memo hit").cached);
+    let panics = GemmRequest {
+        kind: JobKind::SplitK { slices: 999 },
+        ..gemm(13)
+    };
+    assert!(matches!(client.call(panics), Err(ServeError::Engine(_))));
+
+    let s = server.stats();
+    let text = client.metrics_text();
+    let label = client.metrics_label();
+    let serve = |family: &str| series(&text, family, &[label]);
+    let staged = |stage: &str| series(&text, "egemm_serve_deadline_misses_total", &[label, stage]);
+    assert_eq!(
+        (
+            s.rejected_busy,
+            s.rejected_invalid,
+            s.result_cache_hits,
+            s.dedup_hits,
+            s.timed_out_before,
+            s.engine_failures
+        ),
+        (1, 1, 1, 1, 1, 1),
+        "every scenario must have happened once: {s:?}"
+    );
+    assert_eq!(s.submitted, serve("egemm_serve_requests_total"));
+    assert_eq!(s.admitted, serve("egemm_serve_admitted_total"));
+    assert_eq!(s.rejected_busy, serve("egemm_serve_busy_rejects_total"));
+    assert_eq!(s.rejected_invalid, serve("egemm_serve_invalid_total"));
+    assert_eq!(s.timed_out_before, staged("stage=\"queued\""));
+    assert_eq!(s.timed_out_after, staged("stage=\"dispatched\""));
+    assert_eq!(s.completed, serve("egemm_serve_completed_total"));
+    assert_eq!(
+        s.engine_failures,
+        serve("egemm_serve_engine_failures_total")
+    );
+    assert_eq!(s.engine_calls, serve("egemm_serve_engine_calls_total"));
+    assert_eq!(s.dispatched, serve("egemm_serve_dispatched_total"));
+    assert_eq!(s.coalesced, serve("egemm_serve_batched_requests_total"));
+    assert_eq!(s.dedup_hits, serve("egemm_serve_dedup_hits_total"));
+    assert_eq!(
+        s.result_cache_hits,
+        serve("egemm_serve_result_cache_hits_total")
+    );
+    assert_eq!(
+        s.result_cache_misses,
+        serve("egemm_serve_result_cache_misses_total")
+    );
+    assert_eq!(
+        s.result_cache_evictions,
+        serve("egemm_serve_result_cache_evictions_total")
+    );
+    assert_eq!(
+        s.result_cache_bytes,
+        serve("egemm_serve_result_cache_bytes")
+    );
+    let engine = |family: &str| series(&text, family, &[rt.metrics_label()]);
+    assert_eq!(
+        s.bytes_staging_saved,
+        engine("egemm_bytes_staging_saved_total")
+    );
+    assert_eq!(s.tiles_stolen, engine("egemm_sched_tiles_stolen_total"));
+    assert_eq!(s.panel_reuse_hits, engine("egemm_panel_reuse_hits_total"));
+    server.shutdown();
+}
+
+/// With the result memo off the server counts no memo lookups: a
+/// repeated request is computed again and both memo counters, in the
+/// snapshot and in the exposition, stay at zero.
+#[test]
+fn result_memo_off_counts_no_lookups() {
+    let server = Server::start(
+        engine(1),
+        ServerConfig {
+            result_cache_bytes: 0,
+            ..ServerConfig::default()
+        },
+    );
+    let client = server.client();
+    let a = Matrix::<f32>::random_uniform(16, 16, 71);
+    let b = Matrix::<f32>::random_uniform(16, 16, 72);
+    for _ in 0..3 {
+        let out = client
+            .call(GemmRequest::gemm(a.clone(), b.clone()))
+            .expect("served");
+        assert!(!out.cached, "memo off: every request is computed");
+    }
+    let s = server.stats();
+    assert_eq!(s.engine_calls, 3, "{s:?}");
+    assert_eq!(
+        (s.result_cache_hits, s.result_cache_misses),
+        (0, 0),
+        "{s:?}"
+    );
+    let text = client.metrics_text();
+    let label = client.metrics_label();
+    for family in [
+        "egemm_serve_result_cache_hits_total",
+        "egemm_serve_result_cache_misses_total",
+    ] {
+        let prefix = format!("{family}{{{label}}} ");
+        let sample = text
+            .lines()
+            .find_map(|l| l.strip_prefix(prefix.as_str()))
+            .unwrap_or_else(|| panic!("{family} series for {label} missing"));
+        assert_eq!(sample, "0", "{family}");
+    }
     server.shutdown();
 }

@@ -249,3 +249,66 @@ fn ring_overflow_drops_oldest_without_growing() {
     assert!(lane.events.is_empty(), "drain did not consume events");
     assert_eq!(lane.dropped, 0, "drop counter not reset by drain");
 }
+
+/// A process that runs the engine without a server still exports its
+/// runtime's cache and scheduler counters, typed as counters, and each
+/// runtime-labelled series reads exactly what `cache_stats()` and
+/// `sched_stats()` report. Dropping the runtime removes its series.
+#[test]
+fn engine_only_exposition_matches_runtime_stats() {
+    // Traced calls drain every ring, so stay out of the tracing tests'
+    // windows.
+    let _g = TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let rt = EngineRuntime::new(RuntimeConfig {
+        threads: 2,
+        ..RuntimeConfig::default()
+    });
+    let eng = Egemm::new(DeviceSpec::t4(), TilingConfig::T4_PAPER).with_runtime(rt.clone());
+    let b = Matrix::<f32>::random_uniform(80, 64, 2);
+    eng.gemm(&Matrix::random_uniform(96, 80, 1), &b); // cold: miss + pack
+    eng.gemm(&Matrix::random_uniform(96, 80, 3), &b); // warm: hit
+    eng.gemm_split_k(&Matrix::random_uniform(96, 80, 4), &b, 2); // raw-B panel store
+
+    let text = telemetry::render_prometheus();
+    let label = rt.metrics_label().to_string();
+    let value = |family: &str| -> u64 {
+        let series = format!("{family}{{{label}}} ");
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(&series))
+            .unwrap_or_else(|| panic!("no {series:?} in the exposition:\n{text}"));
+        line[series.len()..].parse().expect("integer sample")
+    };
+    for family in [
+        "egemm_cache_hits_total",
+        "egemm_cache_misses_total",
+        "egemm_cache_packs_total",
+        "egemm_sched_steals_total",
+        "egemm_panel_reuse_hits_total",
+    ] {
+        assert!(
+            text.contains(&format!("# TYPE {family} counter\n")),
+            "{family} must be typed counter:\n{text}"
+        );
+    }
+    let (cache, sched) = (rt.cache_stats(), rt.sched_stats());
+    assert!(
+        cache.hits >= 1 && cache.misses >= 1 && cache.packs >= 1,
+        "{cache:?}"
+    );
+    assert_eq!(value("egemm_cache_hits_total"), cache.hits);
+    assert_eq!(value("egemm_cache_misses_total"), cache.misses);
+    assert_eq!(value("egemm_cache_packs_total"), cache.packs);
+    assert_eq!(value("egemm_sched_steals_total"), sched.steals);
+    assert_eq!(
+        value("egemm_panel_reuse_hits_total"),
+        sched.panel_reuse_hits
+    );
+
+    drop((eng, rt));
+    let after = telemetry::render_prometheus();
+    assert!(
+        !after.contains(&label),
+        "dropped runtime's {label} series remain:\n{after}"
+    );
+}
