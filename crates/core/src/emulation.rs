@@ -189,8 +189,30 @@ pub fn emulated_gemm_rows(
     )
 }
 
+/// One simulated HMMA lane-step of the accumulation contract: the
+/// separate binary32 multiply and add `acc + a*b`, with NaN propagation
+/// pinned. A NaN `a` wins over a NaN `b` in the product, and a NaN
+/// accumulator wins over a NaN product, each returned quieted: exactly
+/// what `vmulps t, a, b; vaddps acc, acc, t` returns. Plain
+/// `acc += a * b` leaves that choice to the compiler, which may commute
+/// either operation; every other bit of the result is the same.
+#[inline]
+pub fn mul_add_step(acc: f32, a: f32, b: f32) -> f32 {
+    let quiet = |x: f32| f32::from_bits(x.to_bits() | 0x0040_0000);
+    if acc.is_nan() {
+        quiet(acc)
+    } else if a.is_nan() {
+        quiet(a)
+    } else if b.is_nan() {
+        quiet(b)
+    } else {
+        acc + a * b
+    }
+}
+
 /// Independent per-element oracle with identical numerics to
 /// [`emulated_gemm`]: scalar code, no parallelism, no slicing tricks.
+/// Each product is one [`mul_add_step`].
 pub fn emulated_gemm_entrywise(
     a: &SplitMatrix,
     b: &SplitMatrix,
@@ -210,7 +232,7 @@ pub fn emulated_gemm_entrywise(
             let ap = a.plane(a_lo);
             let bp = b.plane(b_lo);
             for kk in kt..kt + chunk {
-                acc += ap[i * k + kk] * bp[kk * n + j];
+                acc = mul_add_step(acc, ap[i * k + kk], bp[kk * n + j]);
             }
         }
         kt += chunk;

@@ -9,14 +9,27 @@
 //! unrolled trailing `kcb % tk` chunk, and a store epilogue. The value
 //! stream per output element is, by construction, exactly the
 //! interpreted microkernel's: ascending k within a chunk, terms in
-//! order per chunk, one separate binary32 multiply and add per product.
+//! order per chunk, one rounding per product.
+//!
+//! That rounding is either a separate binary32 multiply and add
+//! ([`Op::Mul`] + [`Op::Add`], the interpreted kernel's own sequence)
+//! or one fused [`Op::MulAdd`] when the spec sets `fma`. The two agree
+//! bit for bit on every operand the engine packs: each term multiplies
+//! two binary16 values widened to binary32, and such a product is exact
+//! in binary32 (at most 22 significant bits, magnitude within
+//! `[2^-48, 2^32]`), so `fma(a, b, acc)` rounds once, in the same place
+//! as `acc + a*b`. The one divergence is NaN propagation: with a NaN
+//! accumulator *and* a NaN multiplicand, FMA returns the multiplicand's
+//! payload where the add keeps the accumulator's. The engine therefore
+//! requests `fma` only for tiles whose packed operands hold no NaN.
 //!
 //! Virtual registers are plain indices; [`super::regalloc`] maps them
 //! onto physical ymm/zmm registers and [`super::x86`] encodes the
-//! result. Arithmetic always covers all `MR` rows and the full vector
-//! width — packed operands are zero-padded, so padded lanes compute
-//! zeros that the masked epilogue never stores, bit-identically to the
-//! interpreted kernel's `load_acc`/`store_acc` edge handling.
+//! result. Arithmetic always covers every row of the kernel's `MR` row
+//! blocks and the full vector width — packed operands are zero-padded,
+//! so padded lanes compute zeros that the masked epilogue never stores,
+//! bit-identically to the interpreted kernel's `load_acc`/`store_acc`
+//! edge handling.
 
 use super::super::pack::{MR, NR};
 
@@ -27,8 +40,10 @@ pub(crate) enum Isa {
     /// halves per accumulator row). Requires AVX.
     Avx,
     /// 16-lane zmm vectors over a *pair* of adjacent packed strips
-    /// (2 x `NR` columns per call), so all eight accumulator chains
-    /// stay independent at full width. Requires AVX-512F.
+    /// (2 x `NR` columns per call) and up to two adjacent row blocks
+    /// (2 x `MR` rows): sixteen independent accumulator chains, enough
+    /// to cover the FMA latency on two ports. Registers come from all
+    /// of zmm0-31. Requires AVX-512F.
     Avx512,
 }
 
@@ -48,6 +63,22 @@ impl Isa {
             Isa::Avx512 => 2,
         }
     }
+
+    /// Packed A row blocks a kernel call may cover.
+    pub(crate) fn row_blocks(self) -> usize {
+        match self {
+            Isa::Avx => 1,
+            Isa::Avx512 => 2,
+        }
+    }
+
+    /// Vector registers the encoder may assign (EVEX reaches zmm16-31).
+    pub(crate) fn phys_regs(self) -> usize {
+        match self {
+            Isa::Avx => 16,
+            Isa::Avx512 => 32,
+        }
+    }
 }
 
 /// Everything a kernel is specialized on. Two calls with equal specs
@@ -61,10 +92,23 @@ pub(crate) struct KernelSpec {
     pub tk: usize,
     /// Panel depth this kernel advances through.
     pub kcb: usize,
-    /// Valid output rows, `1..=MR`.
+    /// Valid output rows, `1..=MR` (Avx) or `1..=2*MR` (Avx512). Rows
+    /// past `MR` live in the next packed row block.
     pub rows: usize,
     /// Valid output columns, `1..=NR` (Avx) or `NR+1..=2*NR` (Avx512).
     pub cols: usize,
+    /// Lower every term product to one fused multiply-add instead of a
+    /// separate multiply and add. Only sound when no packed operand the
+    /// kernel reads holds a NaN (see the module docs).
+    pub fma: bool,
+}
+
+impl KernelSpec {
+    /// Packed A row blocks this kernel reads: `rows` rounded up to
+    /// whole `MR` blocks.
+    pub(crate) fn row_blocks(&self) -> usize {
+        self.rows.div_ceil(MR)
+    }
 }
 
 /// A virtual vector register.
@@ -114,10 +158,12 @@ pub(crate) enum Op {
     LoadB { dst: VReg, plane: Plane, off: i32 },
     /// Broadcast one A scalar to all lanes.
     BroadcastA { dst: VReg, plane: Plane, off: i32 },
-    /// `dst = a * b` (separate multiply — never contracted into FMA).
+    /// `dst = a * b` (separate multiply of a non-`fma` kernel).
     Mul { dst: VReg, a: VReg, b: VReg },
     /// `dst = a + b`.
     Add { dst: VReg, a: VReg, b: VReg },
+    /// `acc = acc + a * b` with one rounding (`vfmadd231ps`).
+    MulAdd { acc: VReg, a: VReg, b: VReg },
     /// Store accumulator `src` to C `row`, vector position `vec`.
     StoreAcc {
         src: VReg,
@@ -205,7 +251,7 @@ fn mode_of(spec: &KernelSpec, row: usize, vec: usize) -> MaskMode {
 /// step, rows ascending with vector position 0 before 1 — matching
 /// `microkernel_avx` exactly (lane streams are independent, so only
 /// the per-element order matters, and that is per (term, kk) one
-/// multiply and one add).
+/// product rounded into the accumulator).
 pub(crate) fn lower(spec: &KernelSpec) -> Program {
     let mut next: VReg = 0;
     let mut fresh = || {
@@ -213,7 +259,9 @@ pub(crate) fn lower(spec: &KernelSpec) -> Program {
         next += 1;
         r
     };
-    let acc: Vec<[VReg; 2]> = (0..MR).map(|_| [fresh(), fresh()]).collect();
+    let acc: Vec<[VReg; 2]> = (0..spec.row_blocks() * MR)
+        .map(|_| [fresh(), fresh()])
+        .collect();
 
     // At most one vector position is partial: cols <= lanes leaves
     // position 1 empty; lanes < cols < 2*lanes leaves position 0 full.
@@ -262,23 +310,27 @@ pub(crate) fn lower(spec: &KernelSpec) -> Program {
                 });
                 for (r, a) in acc.iter().enumerate() {
                     let ar = fresh();
+                    // Rows past MR read the next packed row block, a
+                    // whole `kcb x MR` sliver further on.
+                    let block = r / MR * spec.kcb * MR;
                     ops.push(Op::BroadcastA {
                         dst: ar,
                         plane: pa,
-                        off: (kk * MR * 4 + r * 4) as i32,
+                        off: ((block + kk * MR + r % MR) * 4) as i32,
                     });
                     for (v, &av) in a.iter().enumerate() {
-                        let t = fresh();
-                        ops.push(Op::Mul {
-                            dst: t,
-                            a: ar,
-                            b: if v == 0 { b0 } else { b1 },
-                        });
-                        ops.push(Op::Add {
-                            dst: av,
-                            a: av,
-                            b: t,
-                        });
+                        let b = if v == 0 { b0 } else { b1 };
+                        if spec.fma {
+                            ops.push(Op::MulAdd { acc: av, a: ar, b });
+                        } else {
+                            let t = fresh();
+                            ops.push(Op::Mul { dst: t, a: ar, b });
+                            ops.push(Op::Add {
+                                dst: av,
+                                a: av,
+                                b: t,
+                            });
+                        }
                     }
                 }
             }
@@ -337,6 +389,7 @@ mod tests {
             kcb: 20,
             rows: 3,
             cols,
+            fma: false,
         }
     }
 
@@ -390,6 +443,53 @@ mod tests {
             .iter()
             .any(|o| matches!(o, Op::LoadB { off, .. } if *off >= (20 * NR * 4) as i32));
         assert!(far, "strip-1 loads must address the adjacent sliver");
+    }
+
+    #[test]
+    fn fma_lowers_each_product_to_one_op() {
+        let p = lower(&KernelSpec {
+            fma: true,
+            ..spec(Isa::Avx, 16)
+        });
+        // Per term (2) per step (8): 2 B loads + 4 broadcasts + 8 FMAs.
+        assert_eq!(p.body.len(), 2 * 8 * 14);
+        assert!(p
+            .body
+            .iter()
+            .all(|o| !matches!(o, Op::Mul { .. } | Op::Add { .. })));
+        let fused = p
+            .body
+            .iter()
+            .filter(|o| matches!(o, Op::MulAdd { .. }))
+            .count();
+        assert_eq!(fused, 2 * 8 * 8);
+    }
+
+    #[test]
+    fn avx512_two_row_blocks_keep_sixteen_accumulators() {
+        let p = lower(&KernelSpec {
+            rows: 7,
+            fma: true,
+            ..spec(Isa::Avx512, 32)
+        });
+        // 8 rows x 2 vectors loaded; row 7 (the eighth) is padding.
+        assert_eq!(p.prologue.len(), 16);
+        assert_eq!(p.epilogue.len(), 14);
+        // Rows 4..8 broadcast from the second row block, one kcb x MR
+        // sliver on.
+        let sliver = (20 * MR * 4) as i32;
+        let far = p
+            .body
+            .iter()
+            .filter(|o| matches!(o, Op::BroadcastA { off, .. } if *off >= sliver))
+            .count();
+        assert_eq!(far, 2 * 8 * 4);
+        // A lone last block keeps the single-block tile.
+        let p = lower(&KernelSpec {
+            rows: 3,
+            ..spec(Isa::Avx512, 32)
+        });
+        assert_eq!(p.prologue.len(), 8);
     }
 
     #[test]

@@ -9,16 +9,14 @@
 //! prologue/body/ragged/epilogue order, and any assignment with no
 //! overlapping ranges sharing a register is a valid allocation.
 //!
-//! Sixteen physical registers cover the worst case with room to spare:
-//! 8 accumulators + 1 lane mask + 2 B vectors + 1 broadcast + 1
-//! product temporary = 13 simultaneously live.
+//! The register files cover the worst cases with room to spare. An AVX
+//! kernel holds 8 accumulators + 1 lane mask + 2 B vectors + 1
+//! broadcast + 1 product temporary = 13 of ymm0-15 live at once (the
+//! temporary disappears under FMA). A two-row-block AVX-512 kernel
+//! holds 16 accumulators + 2 B vectors + 1 broadcast + 1 temporary =
+//! 20 of zmm0-31 (its lane mask lives in `k1`).
 
 use super::ir::{Op, Program, VReg};
-
-/// Physical vector registers available (ymm0-15 / zmm0-15; the encoder
-/// stays out of the EVEX upper bank to keep one register model for
-/// both ISAs).
-pub(crate) const PHYS_REGS: usize = 16;
 
 /// Virtual-to-physical assignment: `map[vreg] = ymm/zmm index`.
 pub(crate) struct Allocation {
@@ -33,23 +31,25 @@ impl Allocation {
 }
 
 /// Registers an op writes / reads. An `Add { dst, a, .. }` with
-/// `dst == a` (the accumulator update) both reads and writes it, which
-/// the range arithmetic below handles naturally.
+/// `dst == a` and a `MulAdd` (the accumulator updates) both read and
+/// write the accumulator, which the range arithmetic below handles
+/// naturally.
 fn defs_uses(op: &Op) -> (Option<VReg>, [Option<VReg>; 3]) {
     match *op {
         Op::LoadAcc { dst, mask, .. } => (Some(dst), [mask, None, None]),
         Op::LoadMask { dst } => (Some(dst), [None; 3]),
         Op::LoadB { dst, .. } | Op::BroadcastA { dst, .. } => (Some(dst), [None; 3]),
         Op::Mul { dst, a, b } | Op::Add { dst, a, b } => (Some(dst), [Some(a), Some(b), None]),
+        Op::MulAdd { acc, a, b } => (Some(acc), [Some(acc), Some(a), Some(b)]),
         Op::StoreAcc { src, mask, .. } => (None, [Some(src), mask, None]),
     }
 }
 
-/// Allocate `prog`'s virtual registers onto [`PHYS_REGS`] physical
-/// ones. `None` if the program ever needs more registers than exist
-/// (cannot happen for specs produced by [`super::ir::lower`], but the
-/// caller treats it as "fall back to the interpreted kernel" rather
-/// than trusting that).
+/// Allocate `prog`'s virtual registers onto the physical registers of
+/// its ISA ([`super::ir::Isa::phys_regs`]). `None` if the program ever
+/// needs more registers than exist (cannot happen for specs produced by
+/// [`super::ir::lower`], but the caller treats it as "fall back to the
+/// interpreted kernel" rather than trusting that).
 pub(crate) fn allocate(prog: &Program) -> Option<Allocation> {
     let n = prog.vregs as usize;
     let stream: Vec<&Op> = prog
@@ -76,9 +76,9 @@ pub(crate) fn allocate(prog: &Program) -> Option<Allocation> {
     }
 
     let mut map = vec![u8::MAX; n];
-    let mut free: Vec<u8> = (0..PHYS_REGS as u8).rev().collect();
+    let mut free: Vec<u8> = (0..prog.spec.isa.phys_regs() as u8).rev().collect();
     // Active ranges ordered by endpoint would be asymptotically nicer;
-    // with <= 14 live values a scan per op is already negligible next
+    // with <= 20 live values a scan per op is already negligible next
     // to encoding.
     let mut active: Vec<(u32, VReg)> = Vec::new(); // (last use, vreg)
     for (pos, op) in stream.iter().enumerate() {
@@ -108,18 +108,19 @@ mod tests {
     use super::super::ir::{lower, Isa, KernelSpec};
     use super::*;
 
-    fn alloc_for(isa: Isa, nterms: usize, cols: usize) -> (Program, Allocation) {
+    fn alloc_for(isa: Isa, nterms: usize, rows: usize, cols: usize) -> (Program, Allocation) {
         let spec = KernelSpec {
             isa,
             terms: vec![(false, false), (true, false), (false, true), (true, true)][..nterms]
                 .to_vec(),
             tk: 8,
             kcb: 20,
-            rows: 4,
+            rows,
             cols,
+            fma: false,
         };
         let prog = lower(&spec);
-        let a = allocate(&prog).expect("kernel IR must fit 16 registers");
+        let a = allocate(&prog).expect("kernel IR must fit the register file");
         (prog, a)
     }
 
@@ -127,8 +128,18 @@ mod tests {
     /// checked by replaying ranges against the final assignment.
     #[test]
     fn assignment_has_no_live_conflicts() {
-        for (isa, cols) in [(Isa::Avx, 16), (Isa::Avx, 11), (Isa::Avx512, 23)] {
-            let (prog, a) = alloc_for(isa, 4, cols);
+        let cases = [
+            (Isa::Avx, 4, 16),
+            (Isa::Avx, 4, 11),
+            (Isa::Avx512, 4, 23),
+            (Isa::Avx512, 8, 32),
+        ];
+        for (isa, rows, cols) in cases {
+            let (prog, a) = alloc_for(isa, 4, rows, cols);
+            assert!(
+                (0..prog.vregs).all(|v| (a.phys(v) as usize) < isa.phys_regs()),
+                "{isa:?} assignment leaves the register file"
+            );
             let stream: Vec<&Op> = prog
                 .prologue
                 .iter()
@@ -164,13 +175,15 @@ mod tests {
     /// Accumulators keep one register across the whole program.
     #[test]
     fn accumulators_fit_with_temps() {
-        let (prog, a) = alloc_for(Isa::Avx, 4, 13);
-        // vregs 0..8 are the accumulators (allocated first in lower()),
-        // all distinct.
-        let mut seen = std::collections::HashSet::new();
-        for v in 0..8u16 {
-            assert!(seen.insert(a.phys(v)), "accumulators must not collide");
+        for (isa, rows, accs) in [(Isa::Avx, 4, 8u16), (Isa::Avx512, 8, 16)] {
+            let (prog, a) = alloc_for(isa, 4, rows, 13);
+            // vregs 0..accs are the accumulators (allocated first in
+            // lower()), all distinct.
+            let mut seen = std::collections::HashSet::new();
+            for v in 0..accs {
+                assert!(seen.insert(a.phys(v)), "accumulators must not collide");
+            }
+            assert!(prog.vregs > accs);
         }
-        assert!(prog.vregs > 8);
     }
 }

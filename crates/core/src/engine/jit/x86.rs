@@ -10,14 +10,21 @@
 //! ```text
 //! r8  a_hi    r9  a_lo     r10 b_hi    r11 b_lo   (advance per chunk)
 //! rax C row 0 origin       rcx n*4     rsi 3*n*4  rdx chunk counter
+//! rdi C row 4 origin (two-row-block kernels, once the arguments are read)
 //! ```
 //!
-//! C rows address as `[rax]`, `[rax+rcx]`, `[rax+rcx*2]`, `[rax+rsi]`.
-//! AVX kernels fetch their single lane mask from a RIP-relative
-//! literal pool appended after the code; AVX-512 kernels build theirs
-//! in `k1` with `kmovw`. Multiplies and adds are emitted as separate
-//! `vmulps`/`vaddps` (`vpxord`/EVEX forms under AVX-512) — never FMA —
-//! so every lane replays the interpreted kernel's rounding sequence.
+//! C rows address as `[rax]`, `[rax+rcx]`, `[rax+rcx*2]`, `[rax+rsi]`,
+//! then the same four forms on `rdi`. AVX kernels fetch their single
+//! lane mask from a RIP-relative literal pool appended after the code;
+//! AVX-512 kernels build theirs in `k1` with `kmovw`. AVX kernels use
+//! VEX forms on ymm0-15; AVX-512 kernels use EVEX forms on zmm0-31.
+//!
+//! A term product is either one `vfmadd231ps acc, a_bcast, b` (`fma`
+//! kernels) or a separate `vmulps` + `vaddps`. The fused form rounds
+//! once, exactly where the separate pair rounds its add, because the
+//! product of two widened binary16 values is exact in binary32; only
+//! NaN propagation differs, which is why the engine requests `fma`
+//! kernels only for NaN-free operands (see `ir.rs`).
 
 use super::ir::{Isa, MaskMode, Op, Plane, Program};
 use super::regalloc::Allocation;
@@ -150,10 +157,11 @@ impl Asm {
         }
     }
 
-    /// High (extension) bits of an r/m operand: (X, B).
+    /// High (extension) bits of an r/m operand: (X, B). For a vector
+    /// register operand EVEX reuses X as its fifth bit (zmm16-31).
     fn rm_ext(rm: Rm) -> (u8, u8) {
         match rm {
-            Rm::Reg(r) => (0, r >> 3),
+            Rm::Reg(r) => ((r >> 4) & 1, (r >> 3) & 1),
             Rm::Mem(Mem::Rip { .. }) => (0, 0),
             Rm::Mem(Mem::Bd { base, .. }) => (0, base >> 3),
             Rm::Mem(Mem::Bid { base, index, .. }) => (index >> 3, base >> 3),
@@ -164,6 +172,10 @@ impl Asm {
     /// 0 = none, 1 = 66; `l`: 0 = 128-bit, 1 = 256-bit.
     #[allow(clippy::too_many_arguments)]
     fn vex(&mut self, map: u8, pp: u8, w: u8, l: u8, op: u8, reg: u8, vvvv: u8, rm: Rm) {
+        debug_assert!(
+            reg < 16 && vvvv < 16 && !matches!(rm, Rm::Reg(16..)),
+            "VEX reaches registers 0-15 only"
+        );
         let (x, b) = Asm::rm_ext(rm);
         self.u8(0xC4);
         self.u8(((!(reg >> 3) & 1) << 7) | ((!x & 1) << 6) | ((!b & 1) << 5) | map);
@@ -175,13 +187,16 @@ impl Asm {
     /// EVEX instruction, always 512-bit here. `aaa` selects the k mask
     /// (0 = none), `z` the zeroing form. Memory operands use the
     /// plain disp32 form so no compressed-disp8 scaling applies.
+    /// Registers 16-31 set R' (reg), V' (vvvv) and X (register r/m).
     #[allow(clippy::too_many_arguments)]
     fn evex(&mut self, map: u8, pp: u8, w: u8, op: u8, reg: u8, vvvv: u8, rm: Rm, aaa: u8, z: u8) {
         let (x, b) = Asm::rm_ext(rm);
+        let r_hi = (!(reg >> 4) & 1) << 4; // R', inverted
+        let v_hi = (!(vvvv >> 4) & 1) << 3; // V', inverted
         self.u8(0x62);
-        self.u8(((!(reg >> 3) & 1) << 7) | ((!x & 1) << 6) | ((!b & 1) << 5) | 0x10 | map);
+        self.u8(((!(reg >> 3) & 1) << 7) | ((!x & 1) << 6) | ((!b & 1) << 5) | r_hi | map);
         self.u8((w << 7) | ((!vvvv & 0xF) << 3) | 0x04 | pp);
-        self.u8((z << 7) | 0x40 | 0x08 | aaa); // L'L = 10 (512-bit), V' clear
+        self.u8((z << 7) | 0x40 | v_hi | aaa); // L'L = 10 (512-bit)
         self.u8(op);
         self.modrm(reg, rm, true);
     }
@@ -226,29 +241,40 @@ fn plane_base(p: Plane) -> u8 {
 }
 
 /// C memory operand for `row` at byte offset `disp` from the row
-/// origin.
+/// origin: rows 0-3 off `rax`, rows 4-7 (the second row block) off
+/// `rdi`.
 fn row_mem(row: u8, disp: i32) -> Mem {
-    match row {
-        0 => Mem::Bd { base: RAX, disp },
+    let base = if row < 4 { RAX } else { RDI };
+    match row % 4 {
+        0 => Mem::Bd { base, disp },
         1 => Mem::Bid {
-            base: RAX,
+            base,
             index: RCX,
             scale: 1,
             disp,
         },
         2 => Mem::Bid {
-            base: RAX,
+            base,
             index: RCX,
             scale: 2,
             disp,
         },
-        3 => Mem::Bid {
-            base: RAX,
+        _ => Mem::Bid {
+            base,
             index: RSI,
             scale: 1,
             disp,
         },
-        _ => unreachable!("MR = 4"),
+    }
+}
+
+/// `vfmadd231ps acc, x, b` — `acc = x * b + acc` with one rounding —
+/// in its EVEX zmm (registers 0-31) or VEX ymm (0-15) form.
+fn vfmadd231ps(a: &mut Asm, avx512: bool, acc: u8, x: u8, b: u8) {
+    if avx512 {
+        a.evex(2, 1, 0, 0xB8, acc, x, Rm::Reg(b), 0, 0);
+    } else {
+        a.vex(2, 1, 0, 1, 0xB8, acc, x, Rm::Reg(b));
     }
 }
 
@@ -322,6 +348,9 @@ fn emit_op(a: &mut Asm, isa: Isa, alloc: &Allocation, op: &Op) {
                 a.vex(1, 0, 0, 1, opc, d, x, Rm::Reg(b));
             }
         }
+        Op::MulAdd { acc, a: x, b } => {
+            vfmadd231ps(a, avx512, alloc.phys(acc), alloc.phys(x), alloc.phys(b));
+        }
         Op::StoreAcc {
             src,
             row,
@@ -380,6 +409,11 @@ pub(crate) fn emit(prog: &Program, alloc: &Allocation) -> Vec<u8> {
     a.mov_load(RCX, RDI, ARG_N);
     a.code.extend_from_slice(&[0x48, 0xC1, 0xE1, 0x02]); // shl rcx, 2
     a.code.extend_from_slice(&[0x48, 0x8D, 0x34, 0x49]); // lea rsi, [rcx+rcx*2]
+    if prog.spec.row_blocks() > 1 {
+        // The argument block is fully read: rdi becomes the origin of
+        // C row 4 (the second row block).
+        a.code.extend_from_slice(&[0x48, 0x8D, 0x3C, 0x88]); // lea rdi, [rax+rcx*4]
+    }
 
     for op in &prog.prologue {
         emit_op(&mut a, isa, alloc, op);
@@ -430,18 +464,161 @@ mod tests {
     use super::super::regalloc::allocate;
     use super::*;
 
+    fn emit_spec(spec: KernelSpec) -> Vec<u8> {
+        let prog = lower(&spec);
+        let alloc = allocate(&prog).unwrap();
+        emit(&prog, &alloc)
+    }
+
     fn emit_for(isa: Isa, cols: usize, kcb: usize) -> Vec<u8> {
-        let spec = KernelSpec {
+        emit_spec(KernelSpec {
             isa,
             terms: vec![(false, false), (true, true)],
             tk: 8,
             kcb,
             rows: 4,
             cols,
+            fma: false,
+        })
+    }
+
+    /// One `vfmadd231ps` encoded on its own.
+    fn fma_bytes(avx512: bool, acc: u8, x: u8, b: u8) -> Vec<u8> {
+        let mut a = Asm::new();
+        vfmadd231ps(&mut a, avx512, acc, x, b);
+        a.finish()
+    }
+
+    /// `(avx512, acc, x, b, encoding, Intel-syntax disassembly)`: low
+    /// and high halves of each register file, so every extension bit
+    /// (VEX R/vvvv/B; EVEX R, R', vvvv, V', B, X) is exercised.
+    type FmaCase = (bool, u8, u8, u8, &'static [u8], &'static str);
+    const FMA_CASES: &[FmaCase] = &[
+        (
+            false,
+            1,
+            2,
+            3,
+            &[0xC4, 0xE2, 0x6D, 0xB8, 0xCB],
+            "vfmadd231ps ymm1,ymm2,ymm3",
+        ),
+        (
+            false,
+            12,
+            13,
+            14,
+            &[0xC4, 0x42, 0x15, 0xB8, 0xE6],
+            "vfmadd231ps ymm12,ymm13,ymm14",
+        ),
+        (
+            true,
+            1,
+            2,
+            3,
+            &[0x62, 0xF2, 0x6D, 0x48, 0xB8, 0xCB],
+            "vfmadd231ps zmm1,zmm2,zmm3",
+        ),
+        (
+            true,
+            17,
+            18,
+            29,
+            &[0x62, 0x82, 0x6D, 0x40, 0xB8, 0xCD],
+            "vfmadd231ps zmm17,zmm18,zmm29",
+        ),
+        (
+            true,
+            31,
+            8,
+            16,
+            &[0x62, 0x22, 0x3D, 0x48, 0xB8, 0xF8],
+            "vfmadd231ps zmm31,zmm8,zmm16",
+        ),
+        (
+            true,
+            9,
+            24,
+            7,
+            &[0x62, 0x72, 0x3D, 0x40, 0xB8, 0xCF],
+            "vfmadd231ps zmm9,zmm24,zmm7",
+        ),
+    ];
+
+    #[test]
+    fn vfmadd231ps_encodings() {
+        for &(avx512, acc, x, b, want, text) in FMA_CASES {
+            assert_eq!(fma_bytes(avx512, acc, x, b), want, "{text}");
+        }
+    }
+
+    /// Disassemble `code` with the local `objdump`, returning one
+    /// whitespace-normalized `mnemonic operands` string per
+    /// instruction, or `None` when no usable `objdump` is installed.
+    fn objdump(code: &[u8], tag: &str) -> Option<Vec<String>> {
+        let path = std::env::temp_dir().join(format!("egemm-jit-{tag}-{}.bin", std::process::id()));
+        std::fs::write(&path, code).ok()?;
+        let out = std::process::Command::new("objdump")
+            .args(["-D", "-b", "binary", "-m", "i386:x86-64", "-M", "intel"])
+            .arg(&path)
+            .output();
+        let _ = std::fs::remove_file(&path);
+        let out = out.ok().filter(|o| o.status.success())?;
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        Some(
+            text.lines()
+                .filter_map(|l| {
+                    // "   5:\t62 82 ...\tvfmadd231ps zmm17,zmm18,zmm29"
+                    let mut cols = l.splitn(3, '\t');
+                    let (addr, _bytes, asm) = (cols.next()?, cols.next()?, cols.next()?);
+                    addr.trim_end()
+                        .ends_with(':')
+                        .then(|| asm.split_whitespace().collect::<Vec<_>>().join(" "))
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn vfmadd231ps_matches_objdump() {
+        let mut code = Vec::new();
+        for &(avx512, acc, x, b, _, _) in FMA_CASES {
+            code.extend(fma_bytes(avx512, acc, x, b));
+        }
+        let Some(listing) = objdump(&code, "fma") else {
+            eprintln!("note: objdump not installed; encoder cross-check skipped");
+            return;
         };
-        let prog = lower(&spec);
-        let alloc = allocate(&prog).unwrap();
-        emit(&prog, &alloc)
+        let want: Vec<&str> = FMA_CASES.iter().map(|c| c.5).collect();
+        assert_eq!(listing, want);
+    }
+
+    /// A whole two-row-block FMA kernel disassembles to the expected
+    /// instruction mix: no `vmulps`/`vaddps`, one `vfmadd231ps` per
+    /// product, upper-bank registers in use, and row 4 addressed off
+    /// `rdi`.
+    #[test]
+    fn fma_kernel_disassembles_cleanly() {
+        let code = emit_spec(KernelSpec {
+            isa: Isa::Avx512,
+            terms: vec![(false, false), (true, true)],
+            tk: 8,
+            kcb: 8,
+            rows: 8,
+            cols: 32,
+            fma: true,
+        });
+        let Some(listing) = objdump(&code, "kernel") else {
+            eprintln!("note: objdump not installed; kernel disassembly check skipped");
+            return;
+        };
+        let count = |m: &str| listing.iter().filter(|l| l.starts_with(m)).count();
+        // 2 terms x 8 steps x 8 rows x 2 vectors.
+        assert_eq!(count("vfmadd231ps "), 2 * 8 * 16, "{listing:#?}");
+        assert_eq!(count("vmulps ") + count("vaddps "), 0);
+        assert!(listing.iter().any(|l| l.contains("zmm16")));
+        assert!(listing.iter().any(|l| l == "lea rdi,[rax+rcx*4]"));
+        assert!(listing.iter().any(|l| l.contains("[rdi+rsi*1")));
+        assert!(listing.iter().any(|l| l == "ret"));
     }
 
     #[test]

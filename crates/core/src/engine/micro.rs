@@ -9,6 +9,14 @@
 //! accumulators live in registers for the whole panel; C is loaded before
 //! the first panel of a tile pass and stored after each, so the value
 //! stream per output element is bit-identical to the scalar oracle.
+//!
+//! This kernel always issues a separate multiply and add. It is the
+//! oracle every JIT kernel is verified against, including the fused
+//! (`vfmadd231ps`) ones: each product multiplies two binary16 values
+//! widened to binary32 and is therefore exact, so `fma(a, b, acc)`
+//! rounds exactly where `acc + a*b` rounds its add. The two differ only
+//! in which NaN a NaN accumulator times a NaN multiplicand returns; the
+//! engine runs fused kernels only on NaN-free operands (`jit/ir.rs`).
 
 use super::pack::{MR, NR};
 
@@ -83,6 +91,58 @@ pub(crate) unsafe fn store_acc(
     }
 }
 
+/// The `idx`-th sliver of `len` elements of a packed plane; an empty
+/// plane (one the scheme never reads) stays empty.
+#[inline]
+fn sub(plane: &[f32], idx: usize, len: usize) -> &[f32] {
+    if plane.is_empty() {
+        plane
+    } else {
+        &plane[idx * len..(idx + 1) * len]
+    }
+}
+
+/// Advance the `rows x cols` output tile at `out` (row stride `n`)
+/// through one k panel with the interpreted kernel, one `MR x NR`
+/// register tile at a time. `a` holds `rows.div_ceil(MR)` consecutive
+/// packed row-block slivers (`kcb x MR` each) and `b`
+/// `cols.div_ceil(NR)` consecutive strip slivers (`kcb x NR` each):
+/// exactly the operands a JIT kernel of the same shape reads.
+///
+/// # Safety
+/// `out` must be valid for reads and writes of `rows x cols` elements
+/// at row stride `n`, and no other thread may touch that region
+/// concurrently.
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn tile(
+    a: PlanePair<'_>,
+    b: PlanePair<'_>,
+    kcb: usize,
+    tk: usize,
+    terms: &[(bool, bool)],
+    out: *mut f32,
+    n: usize,
+    (rows, cols): (usize, usize),
+) {
+    for blk in 0..rows.div_ceil(MR) {
+        let a_blk = PlanePair {
+            hi: sub(a.hi, blk, kcb * MR),
+            lo: sub(a.lo, blk, kcb * MR),
+        };
+        let (i0, rows_b) = (blk * MR, MR.min(rows - blk * MR));
+        for s in 0..cols.div_ceil(NR) {
+            let b_s = PlanePair {
+                hi: sub(b.hi, s, kcb * NR),
+                lo: sub(b.lo, s, kcb * NR),
+            };
+            let (j0, cols_s) = (s * NR, NR.min(cols - s * NR));
+            let mut acc = load_acc(out, n, i0, j0, rows_b, cols_s);
+            microkernel(&mut acc, a_blk, b_s, kcb, tk, terms);
+            store_acc(&acc, out, n, i0, j0, rows_b, cols_s);
+        }
+    }
+}
+
 /// Advance `acc` through one k panel of depth `kcb`.
 ///
 /// `a` points at this row block's packed slivers (`kcb x MR`), `b` at
@@ -116,9 +176,13 @@ pub(crate) fn microkernel(
 /// Explicit AVX register allocation: eight 8-lane accumulator vectors
 /// (4 rows x 2), enough independent dependency chains to cover the FP
 /// add latency, plus two B vectors and one broadcast — comfortably
-/// inside the 16 ymm registers. `vmulps`/`vaddps` stay separate
-/// instructions (rustc never contracts to FMA), so every lane computes
-/// exactly the portable path's `acc + a*b` rounding sequence.
+/// inside the 16 ymm registers. Each row step is one `asm!` block of
+/// separate `vmulps`/`vaddps` with fixed operand order (A before B,
+/// accumulator before product), so every lane computes exactly
+/// [`crate::mul_add_step`], NaN payloads included; intrinsics would let
+/// the compiler commute either operation. `{vex3}` pins the 3-byte VEX
+/// form: without it the assembler swaps the sources of a commutative op
+/// whenever that reaches the shorter 2-byte prefix.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
 unsafe fn microkernel_avx(
@@ -152,8 +216,20 @@ unsafe fn microkernel_avx(
                 let b1 = _mm256_loadu_ps(bv.add(8));
                 for (r, cr) in c.iter_mut().enumerate() {
                     let ar = _mm256_set1_ps(*av.add(r));
-                    cr[0] = _mm256_add_ps(cr[0], _mm256_mul_ps(ar, b0));
-                    cr[1] = _mm256_add_ps(cr[1], _mm256_mul_ps(ar, b1));
+                    core::arch::asm!(
+                        "{{vex3}} vmulps {t0}, {a}, {b0}",
+                        "{{vex3}} vmulps {t1}, {a}, {b1}",
+                        "{{vex3}} vaddps {c0}, {c0}, {t0}",
+                        "{{vex3}} vaddps {c1}, {c1}, {t1}",
+                        c0 = inout(ymm_reg) cr[0],
+                        c1 = inout(ymm_reg) cr[1],
+                        a = in(ymm_reg) ar,
+                        b0 = in(ymm_reg) b0,
+                        b1 = in(ymm_reg) b1,
+                        t0 = out(ymm_reg) _,
+                        t1 = out(ymm_reg) _,
+                        options(pure, nomem, nostack, preserves_flags),
+                    );
                 }
             }
         }
@@ -191,9 +267,8 @@ fn microkernel_portable(
                     let ar = av[r];
                     for c in 0..NR {
                         // One simulated HMMA lane-step: a separate
-                        // binary32 multiply and add (rustc never
-                        // contracts these into an FMA).
-                        acc[r][c] += ar * bv[c];
+                        // binary32 multiply and add.
+                        acc[r][c] = crate::mul_add_step(acc[r][c], ar, bv[c]);
                     }
                 }
             }
@@ -255,11 +330,50 @@ mod tests {
                 let ap = if al { &a_lo } else { &a_hi };
                 let bp = if bl { &b_lo } else { &b_hi };
                 for kk in kt..kt + chunk {
-                    want += ap[kk * MR + r] * bp[kk * NR + c];
+                    want = crate::mul_add_step(want, ap[kk * MR + r], bp[kk * NR + c]);
                 }
             }
             kt += chunk;
         }
         assert_eq!(acc[r][c].to_bits(), want.to_bits());
+    }
+
+    /// NaN payloads follow [`crate::mul_add_step`] on both paths: A's
+    /// NaN before B's in the product, the accumulator's before the
+    /// product's.
+    #[test]
+    fn nan_propagation_is_pinned() {
+        let nan = |bits: u32| f32::from_bits(bits);
+        let mut a_hi = vec![1.5f32; MR];
+        a_hi[0] = nan(0x7fc0_0a00);
+        a_hi[1] = nan(0xff80_0001); // signalling
+        let mut b_hi: Vec<f32> = (0..NR).map(|c| c as f32 - 3.0).collect();
+        b_hi[0] = nan(0x7fd0_0000);
+        b_hi[9] = nan(0xffc0_0b00);
+        b_hi[5] = f32::INFINITY;
+        let mut acc0 = [[2.0f32; NR]; MR];
+        acc0[0][1] = nan(0x7fc1_2345);
+        acc0[2][9] = nan(0xff80_0042);
+        acc0[3][5] = f32::NEG_INFINITY;
+        let pair = |hi| PlanePair { hi, lo: &[] };
+        let terms: &[(bool, bool)] = &[(false, false)];
+        let mut fast = acc0;
+        microkernel(&mut fast, pair(&a_hi), pair(&b_hi), 1, 1, terms);
+        let mut portable = acc0;
+        microkernel_portable(&mut portable, pair(&a_hi), pair(&b_hi), 1, 1, terms);
+        for r in 0..MR {
+            for c in 0..NR {
+                let want = crate::mul_add_step(acc0[r][c], a_hi[r], b_hi[c]).to_bits();
+                assert_eq!(fast[r][c].to_bits(), want, "({r}, {c})");
+                assert_eq!(portable[r][c].to_bits(), want, "portable ({r}, {c})");
+            }
+        }
+        assert_eq!(fast[0][0].to_bits(), 0x7fc0_0a00, "A's NaN before B's");
+        assert_eq!(
+            fast[0][1].to_bits(),
+            0x7fc1_2345,
+            "accumulator's before A's"
+        );
+        assert_eq!(fast[1][3].to_bits(), 0xffc0_0001, "quieted");
     }
 }

@@ -56,8 +56,8 @@ use cache::split_plane_bytes;
 use egemm_fp::{SplitKernel, SplitScheme};
 use egemm_matrix::Matrix;
 pub use jit::{available as jit_available, exec_mappings as jit_exec_mappings};
-use micro::{load_acc, microkernel, store_acc, PlanePair};
-use pack::{pack_a_fused, pack_b_fused, PanelStore, MR, NR};
+use micro::PlanePair;
+use pack::{pack_a_fused, pack_b_fused, Panel, PanelStore, MR, NR};
 pub use runtime::{CacheStats, EngineRuntime, PreparedOperand, RuntimeConfig};
 pub use sched::SchedStats;
 use sched::{Claim, TileScheduler};
@@ -483,7 +483,7 @@ fn worker(
             let a_len = row_blocks * kcb * MR;
             let b_len = strips * kcb * NR;
             let t_fused = telemetry::span_start();
-            pack_a_fused(
+            let a_nan = pack_a_fused(
                 plan.a.as_slice(),
                 k,
                 &rowbuf,
@@ -504,13 +504,13 @@ fn worker(
             // everyone else reuses the published planes — the packed
             // bytes are a pure function of (operand, jc, pc, blocking),
             // so which worker packs cannot change a bit.
-            let b_planes: Option<(&[f32], &[f32])> = match plan.b {
+            let b_panel: Option<Panel<'_>> = match plan.b {
                 BOperand::Prepared(_) => None, // slivers are read directly below
                 BOperand::Raw(rb) => {
                     let store = store.expect("a raw B operand has a panel store");
                     let pc_idx = (pc - ctx.k_lo) / ctx.kc;
                     let t_pack = telemetry::span_start();
-                    let (bh, bl, packed_here) = store.acquire(jc_idx, pc_idx, |hi, lo| {
+                    let (panel, packed_here) = store.acquire(jc_idx, pc_idx, |hi, lo| {
                         hi.resize(b_len, 0.0);
                         lo.resize(b_len, 0.0);
                         pack_b_fused(
@@ -524,7 +524,7 @@ fn worker(
                             ctx.kernel,
                             hi,
                             lo,
-                        );
+                        )
                     });
                     if packed_here {
                         counters.panels_packed.inc();
@@ -537,9 +537,17 @@ fn worker(
                         counters.panel_reuse_hits.inc();
                         telemetry::span_end(telemetry::Phase::PanelWait, t_pack, pc_idx as u64);
                     }
-                    Some((bh, bl))
+                    Some(panel)
                 }
             };
+            let b_nan = match (plan.b, &b_panel) {
+                (BOperand::Prepared(p), _) => p.packed.has_nan(),
+                (BOperand::Raw(_), panel) => panel.as_ref().is_some_and(|p| p.has_nan),
+            };
+            // Fused (FMA) kernels only for NaN-free operands: with a NaN
+            // multiplicand FMA would return its payload where the
+            // mul+add contract keeps a NaN accumulator's.
+            let nan_free = !a_nan && !b_nan;
             let t_tile = telemetry::span_start();
             let mut sb = 0;
             while sb < strips {
@@ -548,18 +556,20 @@ fn worker(
                 // packed strips are contiguous in memory, so the fused
                 // sliver is just twice as long. `take` only widens the
                 // view; if the kernel ends up interpreted after all,
-                // the fallback below walks the strips one by one.
-                let take = match jit_active.map(jit::KernelCache::isa) {
-                    Some(Some(jit::Isa::Avx512)) if sb + 1 < strips => 2,
-                    _ => 1,
+                // the fallback walks the strips one by one.
+                let isa = match jit_active.map(jit::KernelCache::isa) {
+                    Some(Some(jit::Isa::Avx512)) if sb + 1 < strips => jit::Isa::Avx512,
+                    _ => jit::Isa::Avx,
                 };
+                let take = isa.strips();
+                let fma = nan_free && jit_active.is_some_and(|c| c.fma(isa));
                 // Prepacked slivers are bit-identical to what the
                 // per-tile pack would have produced: jc is NR-aligned
                 // (nc is clamped to an NR multiple) and the k grid
                 // matches (k_lo = 0, same kc), so global strip jc/NR+sb
                 // of panel pc/kc covers exactly the same column range
                 // with the same zero padding.
-                let b_pair = match (plan.b, b_planes) {
+                let b_pair = match (plan.b, &b_panel) {
                     (BOperand::Prepared(p), _) => PlanePair {
                         hi: p
                             .packed
@@ -568,64 +578,59 @@ fn worker(
                             .packed
                             .sliver_span(true, pc / ctx.kc, kcb, jc / NR + sb, take),
                     },
-                    (BOperand::Raw(_), planes) => {
-                        let (bh, bl) = planes.expect("store-packed planes present");
+                    (BOperand::Raw(_), panel) => {
+                        let panel = panel.as_ref().expect("store-packed panel present");
                         PlanePair {
-                            hi: sliver_span(bh, sb, kcb * NR, take),
-                            lo: sliver_span(bl, sb, kcb * NR, take),
+                            hi: sliver_span(panel.hi, sb, kcb * NR, take),
+                            lo: sliver_span(panel.lo, sb, kcb * NR, take),
                         }
                     }
                 };
                 let j0 = jc + sb * NR;
                 let cols = (take * NR).min(ncb - sb * NR);
-                for rb in 0..row_blocks {
+                let mut rb = 0;
+                while rb < row_blocks {
+                    // The same ISA covers two adjacent row blocks per
+                    // call where it can (AVX-512: 8 rows x 2 zmm = 16
+                    // accumulators); their A slivers are contiguous.
+                    let blocks = isa.row_blocks().min(row_blocks - rb);
                     let a_pair = PlanePair {
-                        hi: sliver(&a_hi, rb, kcb * MR),
-                        lo: sliver(&a_lo, rb, kcb * MR),
+                        hi: sliver_span(&a_hi, rb, kcb * MR, blocks),
+                        lo: sliver_span(&a_lo, rb, kcb * MR, blocks),
                     };
                     let i0 = ic + rb * MR;
-                    let rows = MR.min(mcb - rb * MR);
+                    let rows = (blocks * MR).min(mcb - rb * MR);
                     let kernel = jit_active.and_then(|cache| {
-                        let isa = if take == 2 {
-                            jit::Isa::Avx512
-                        } else {
-                            jit::Isa::Avx
-                        };
-                        let key = jit::KernelKey::new(isa, terms, plan.tk, kcb, rows, cols)?;
+                        let key = jit::KernelKey::new(isa, terms, plan.tk, kcb, (rows, cols), fma)?;
                         jit_memo.get(cache, key)
                     });
+                    let out = shared.0.wrapping_add(i0 * ctx.n + j0);
                     match kernel {
                         // SAFETY: the kernel was compiled (and verified
                         // against the interpreted path) for exactly
-                        // this (terms, tk, kcb, rows, cols); the pairs
-                        // hold `take` packed slivers; tile regions
-                        // (i0, j0, rows, cols) are disjoint across
-                        // workers and in-bounds of the m_out x n
-                        // output.
-                        Some(f) => unsafe {
-                            jit::call(f, a_pair, b_pair, shared.0.add(i0 * ctx.n + j0), ctx.n);
+                        // this (terms, tk, kcb, rows, cols), fused only
+                        // when both operands are NaN-free; the pairs
+                        // hold `blocks` A and `take` B packed slivers;
+                        // tile regions (i0, j0, rows, cols) are
+                        // disjoint across workers and in-bounds of the
+                        // m_out x n output.
+                        Some(f) => unsafe { jit::call(f, a_pair, b_pair, out, ctx.n) },
+                        // SAFETY: as above — a disjoint, in-bounds tile
+                        // region of the shared output.
+                        None => unsafe {
+                            micro::tile(
+                                a_pair,
+                                b_pair,
+                                kcb,
+                                plan.tk,
+                                terms,
+                                out,
+                                ctx.n,
+                                (rows, cols),
+                            )
                         },
-                        None => {
-                            for s in 0..take {
-                                if s * NR >= cols {
-                                    break; // ragged pair: lone last strip
-                                }
-                                let cols_s = NR.min(cols - s * NR);
-                                let b_s = PlanePair {
-                                    hi: sliver(b_pair.hi, s, kcb * NR),
-                                    lo: sliver(b_pair.lo, s, kcb * NR),
-                                };
-                                // SAFETY: as above — disjoint, in-bounds
-                                // strip regions of the shared output.
-                                unsafe {
-                                    let (n, j) = (ctx.n, j0 + s * NR);
-                                    let mut acc = load_acc(shared.0, n, i0, j, rows, cols_s);
-                                    microkernel(&mut acc, a_pair, b_s, kcb, plan.tk, terms);
-                                    store_acc(&acc, shared.0, n, i0, j, rows, cols_s);
-                                }
-                            }
-                        }
                     }
+                    rb += blocks;
                 }
                 sb += take;
             }
@@ -634,12 +639,6 @@ fn worker(
         }
     }
     telemetry::span_end(telemetry::Phase::Worker, t_worker, tiles_claimed);
-}
-
-/// The `idx`-th packed sliver of `len` elements.
-#[inline]
-fn sliver(buf: &[f32], idx: usize, len: usize) -> &[f32] {
-    sliver_span(buf, idx, len, 1)
 }
 
 /// `take` consecutive packed slivers starting at `idx` as one slice
@@ -712,7 +711,7 @@ mod tests {
                     for &(al, bl) in scheme.terms() {
                         let (ap, bp) = (sa.plane(al), sb.plane(bl));
                         for kk in kt..kt + chunk {
-                            want += ap[i * k + kk] * bp[kk * n + j];
+                            want = crate::mul_add_step(want, ap[i * k + kk], bp[kk * n + j]);
                         }
                     }
                     kt += chunk;

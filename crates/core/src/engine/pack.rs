@@ -20,10 +20,16 @@
 //! stored back (see `store_acc`). The `row` indirection supports the
 //! row-sampled entry point (`emulated_gemm_rows`) without a gather copy
 //! of A.
+//!
+//! Every pack also reports whether it produced a NaN, which decides
+//! whether the tiles reading it may run fused (FMA) JIT kernels. The
+//! split yields a NaN half only for a NaN input, and only in the hi
+//! part: the lo part is the residual `x - hi`, forced to zero when `hi`
+//! is not finite. So one scan of the packed hi plane answers for both.
 
 use egemm_fp::{split_planes_f32, split_planes_f32_strided, SplitKernel, SplitScheme};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
 /// Microkernel output rows (register tile height).
 pub(crate) const MR: usize = 4;
@@ -33,6 +39,17 @@ pub(crate) const MR: usize = 4;
 /// for the operand loads and broadcasts.
 pub(crate) const NR: usize = 16;
 
+/// Whether a packed hi plane holds a NaN (see the module docs for why
+/// the hi plane suffices). Branch-free per element, so it vectorizes;
+/// the cost is one read of a block the pack just wrote.
+pub(crate) fn has_nan(hi: &[f32]) -> bool {
+    hi.chunks(64).any(|c| {
+        c.iter().fold(0u32, |m, x| {
+            m | ((x.to_bits() & 0x7fff_ffff) > 0x7f80_0000) as u32
+        }) != 0
+    })
+}
+
 /// Fused split+pack of A for the row range `rows_idx` (global A row
 /// indices of the `mcb` output rows) and k panel `[p0, p0 + kcb)`: read
 /// raw f32 rows (row stride `k`) and emit both packed planes of the
@@ -41,7 +58,8 @@ pub(crate) const NR: usize = 16;
 /// sliver lane (stride `MR`); padded rows are zeroed in both planes.
 /// The split is elementwise, so each packed element holds exactly the
 /// bits the scalar split of its source element produces. `hi` and `lo`
-/// must hold `ceil(mcb/MR) * kcb * MR` elements.
+/// must hold `ceil(mcb/MR) * kcb * MR` elements. Returns whether the
+/// packed block holds a NaN.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_a_fused(
     src: &[f32],
@@ -53,7 +71,7 @@ pub(crate) fn pack_a_fused(
     kernel: SplitKernel,
     hi: &mut [f32],
     lo: &mut [f32],
-) {
+) -> bool {
     let mcb = rows_idx.len();
     let row_blocks = mcb.div_ceil(MR);
     for rb in 0..row_blocks {
@@ -82,6 +100,7 @@ pub(crate) fn pack_a_fused(
             }
         }
     }
+    has_nan(&hi[..row_blocks * kcb * MR])
 }
 
 /// Fused split+pack of B for the column range `[j0, j0 + ncb)` and k
@@ -89,7 +108,8 @@ pub(crate) fn pack_a_fused(
 /// both packed planes of the B-panel layout directly. Each row segment
 /// is split contiguously into its strip sliver; padding columns are
 /// zeroed in both planes. `hi` and `lo` must hold
-/// `ceil(ncb/NR) * kcb * NR` elements.
+/// `ceil(ncb/NR) * kcb * NR` elements. Returns whether the packed panel
+/// holds a NaN.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_b_fused(
     src: &[f32],
@@ -102,7 +122,7 @@ pub(crate) fn pack_b_fused(
     kernel: SplitKernel,
     hi: &mut [f32],
     lo: &mut [f32],
-) {
+) -> bool {
     let strips = ncb.div_ceil(NR);
     for sb in 0..strips {
         let hs = &mut hi[sb * kcb * NR..(sb + 1) * kcb * NR];
@@ -122,6 +142,7 @@ pub(crate) fn pack_b_fused(
             }
         }
     }
+    has_nan(&hi[..strips * kcb * NR])
 }
 
 /// Publication states of one [`PanelStore`] slot.
@@ -138,6 +159,18 @@ struct PanelSlot {
     state: AtomicU8,
     hi: UnsafeCell<Vec<f32>>,
     lo: UnsafeCell<Vec<f32>>,
+    /// Whether the packed panel holds a NaN. Written by the packer
+    /// before its release store of READY, which publishes it with the
+    /// buffers.
+    has_nan: AtomicBool,
+}
+
+/// A published panel of the [`PanelStore`].
+pub(crate) struct Panel<'a> {
+    pub hi: &'a [f32],
+    pub lo: &'a [f32],
+    /// The panel holds a NaN: its tiles must not run FMA kernels.
+    pub has_nan: bool,
 }
 
 // SAFETY: the state machine above enforces single-writer / post-publish
@@ -166,21 +199,23 @@ impl PanelStore {
                 state: AtomicU8::new(SLOT_EMPTY),
                 hi: UnsafeCell::new(Vec::new()),
                 lo: UnsafeCell::new(Vec::new()),
+                has_nan: AtomicBool::new(false),
             });
         }
         PanelStore { slots, panels }
     }
 
     /// The packed hi/lo planes of panel (`jc_idx`, `pc_idx`), packing
-    /// them via `pack` if the calling worker arrives first. Returns the
-    /// published planes (a plane an operand never uses stays empty) and
-    /// whether this call did the packing.
+    /// them via `pack` (which returns whether the panel holds a NaN) if
+    /// the calling worker arrives first. Returns the published panel (a
+    /// plane an operand never uses stays empty) and whether this call
+    /// did the packing.
     pub(crate) fn acquire(
         &self,
         jc_idx: usize,
         pc_idx: usize,
-        pack: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>),
-    ) -> (&[f32], &[f32], bool) {
+        pack: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>) -> bool,
+    ) -> (Panel<'_>, bool) {
         let slot = &self.slots[jc_idx * self.panels + pc_idx];
         match slot.state.compare_exchange(
             SLOT_EMPTY,
@@ -192,10 +227,12 @@ impl PanelStore {
                 // SAFETY: winning the CAS makes this worker the slot's
                 // sole writer until the READY store below.
                 let (hi, lo) = unsafe { (&mut *slot.hi.get(), &mut *slot.lo.get()) };
-                pack(hi, lo);
+                let has_nan = pack(hi, lo);
+                slot.has_nan.store(has_nan, Ordering::Relaxed);
                 slot.state.store(SLOT_READY, Ordering::Release);
-                // SAFETY: READY published; the buffers are frozen.
-                unsafe { (&*slot.hi.get(), &*slot.lo.get(), true) }
+                // SAFETY: this worker stored READY itself; the buffers
+                // are frozen.
+                (unsafe { Self::published(slot) }, true)
             }
             Err(mut s) => {
                 // Another worker is packing this panel; packing is
@@ -212,10 +249,28 @@ impl PanelStore {
                     }
                     s = slot.state.load(Ordering::Acquire);
                 }
-                // SAFETY: acquire of READY synchronizes with the
+                // SAFETY: the acquire load of READY synchronizes with the
                 // packer's release store; the buffers are frozen.
-                unsafe { (&*slot.hi.get(), &*slot.lo.get(), false) }
+                (unsafe { Self::published(slot) }, false)
             }
+        }
+    }
+
+    /// A READY slot's contents.
+    ///
+    /// # Safety
+    /// `slot` must be READY, and the calling thread must either have
+    /// stored READY itself or observed it with an acquire load, so that
+    /// the packer's writes happen-before these reads.
+    unsafe fn published(slot: &PanelSlot) -> Panel<'_> {
+        debug_assert_eq!(slot.state.load(Ordering::Relaxed), SLOT_READY);
+        // SAFETY: per the contract above no writer remains and the
+        // packer's writes are visible.
+        let (hi, lo) = unsafe { (&*slot.hi.get(), &*slot.lo.get()) };
+        Panel {
+            hi,
+            lo,
+            has_nan: slot.has_nan.load(Ordering::Relaxed),
         }
     }
 }
@@ -243,6 +298,8 @@ pub(crate) struct PackedB {
     panel_stride: usize,
     hi: Vec<f32>,
     lo: Vec<f32>,
+    /// Some panel holds a NaN: no tile reading this operand runs FMA.
+    has_nan: bool,
 }
 
 impl PackedB {
@@ -263,12 +320,13 @@ impl PackedB {
         let panel_stride = strips * kc * NR;
         let mut hi = vec![0f32; panels * panel_stride];
         let mut lo = vec![0f32; panels * panel_stride];
+        let mut has_nan = false;
         let mut pc = 0usize;
         while pc < k {
             let kcb = kc.min(k - pc);
             let base = (pc / kc) * panel_stride;
             let len = strips * kcb * NR;
-            pack_b_fused(
+            has_nan |= pack_b_fused(
                 src.as_slice(),
                 n,
                 0,
@@ -290,7 +348,13 @@ impl PackedB {
             panel_stride,
             hi,
             lo,
+            has_nan,
         }
+    }
+
+    /// Whether any packed panel holds a NaN.
+    pub(crate) fn has_nan(&self) -> bool {
+        self.has_nan
     }
 
     /// Panel depth the operand was packed with.
@@ -606,15 +670,17 @@ mod tests {
                 s.spawn(|| {
                     for jc_idx in 0..2 {
                         for pc_idx in 0..3 {
-                            let (hi, lo, packed) = store.acquire(jc_idx, pc_idx, |hi, lo| {
+                            let (panel, packed) = store.acquire(jc_idx, pc_idx, |hi, lo| {
                                 hi.resize(4, (jc_idx * 3 + pc_idx) as f32);
                                 lo.resize(4, -1.0);
+                                pc_idx == 1
                             });
                             if packed {
                                 packs.fetch_add(1, Ordering::Relaxed);
                             }
-                            assert_eq!(hi, vec![(jc_idx * 3 + pc_idx) as f32; 4]);
-                            assert_eq!(lo, vec![-1.0f32; 4]);
+                            assert_eq!(panel.hi, vec![(jc_idx * 3 + pc_idx) as f32; 4]);
+                            assert_eq!(panel.lo, vec![-1.0f32; 4]);
+                            assert_eq!(panel.has_nan, pc_idx == 1, "flag published");
                         }
                     }
                 });
@@ -627,10 +693,95 @@ mod tests {
     #[test]
     fn panel_store_keeps_unused_plane_empty() {
         let store = PanelStore::new(1, 1);
-        let (hi, lo, packed) = store.acquire(0, 0, |hi, _lo| hi.resize(2, 7.0));
+        let (panel, packed) = store.acquire(0, 0, |hi, _lo| {
+            hi.resize(2, 7.0);
+            false
+        });
         assert!(packed);
-        assert_eq!(hi, &[7.0, 7.0]);
-        assert!(lo.is_empty());
+        assert_eq!(panel.hi, &[7.0, 7.0]);
+        assert!(panel.lo.is_empty());
+    }
+
+    /// NaN tracking: only a NaN input yields a NaN half, always in the
+    /// hi plane (infinities and values past the binary16 range leave the
+    /// lo residual finite), and every pack flags exactly the blocks that
+    /// hold one.
+    #[test]
+    fn packs_flag_exactly_the_nan_blocks() {
+        let specials = [
+            f32::NAN,
+            f32::from_bits(0xffc0_1234),
+            f32::from_bits(0x7f80_0001), // signalling
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            65520.0,
+            -1e38,
+            f32::MAX,
+            1e-42,
+        ];
+        for scheme in SCHEMES {
+            for kernel in KERNELS {
+                let mut hi = [0f32; 9];
+                let mut lo = [0f32; 9];
+                split_planes_f32(kernel, scheme, &specials, &mut hi, &mut lo);
+                for (i, (&h, &l)) in hi.iter().zip(&lo).enumerate() {
+                    assert_eq!(h.is_nan(), specials[i].is_nan(), "{scheme:?} {i}");
+                    assert!(
+                        !l.is_nan(),
+                        "{scheme:?} {kernel:?}: lo NaN for {}",
+                        specials[i]
+                    );
+                }
+            }
+        }
+        assert!(!has_nan(&[]) && has_nan(&[0.0, f32::NAN]) && !has_nan(&[f32::INFINITY; 100]));
+
+        // 9 x 20 operand, NaN at (6, 13) only; infinities elsewhere.
+        let mut src = Matrix::<f32>::random_uniform(9, 20, 8);
+        src.set(6, 13, f32::from_bits(0x7fa0_0000));
+        src.set(2, 2, f32::INFINITY);
+        src.set(8, 19, -1e30);
+        let scheme = SplitScheme::Round;
+        let pack_a = |rows: &[usize], p0: usize| {
+            let mut hi = vec![0f32; rows.len().div_ceil(MR) * 4 * MR];
+            let mut lo = hi.clone();
+            pack_a_fused(
+                src.as_slice(),
+                20,
+                rows,
+                p0,
+                4,
+                scheme,
+                SplitKernel::Auto,
+                &mut hi,
+                &mut lo,
+            )
+        };
+        assert!(pack_a(&[4, 5, 6, 7], 12));
+        assert!(!pack_a(&[4, 5, 6, 7], 8), "other k panel");
+        assert!(!pack_a(&[0, 1, 2, 3, 8], 12), "other rows");
+        let pack_b = |j0: usize, ncb: usize, p0: usize| {
+            let mut hi = vec![0f32; ncb.div_ceil(NR) * 3 * NR];
+            let mut lo = hi.clone();
+            pack_b_fused(
+                src.as_slice(),
+                20,
+                j0,
+                ncb,
+                p0,
+                3,
+                scheme,
+                SplitKernel::Auto,
+                &mut hi,
+                &mut lo,
+            )
+        };
+        assert!(pack_b(0, 20, 6));
+        assert!(!pack_b(0, 13, 6), "column range stops short of the NaN");
+        assert!(!pack_b(0, 20, 0), "other k panel");
+        assert!(PackedB::pack_fused(&src, scheme, SplitKernel::Auto, 4).has_nan());
+        src.set(6, 13, 1.0);
+        assert!(!PackedB::pack_fused(&src, scheme, SplitKernel::Auto, 4).has_nan());
     }
 
     #[test]

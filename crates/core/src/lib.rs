@@ -59,7 +59,8 @@ pub use batched::BatchedOutput;
 pub use blas::{sgemm_ex, BlasOutput, GemmCall, Op as BlasOp};
 pub use config::TilingConfig;
 pub use emulation::{
-    emulated_gemm, emulated_gemm_entrywise, emulated_gemm_rows, emulated_gemm_tk, EmulationScheme,
+    emulated_gemm, emulated_gemm_entrywise, emulated_gemm_rows, emulated_gemm_tk, mul_add_step,
+    EmulationScheme,
 };
 pub use engine::{
     content_fingerprint, gemm_blocked_prepared_fused, jit_available, jit_exec_mappings,

@@ -13,8 +13,8 @@
 
 use egemm::engine::{self, Plan};
 use egemm::{
-    emulated_gemm_entrywise, emulated_gemm_rows, prepare_b_fused, Egemm, EmulationScheme,
-    EngineConfig, EngineRuntime, RuntimeConfig, SplitMatrix, TilingConfig,
+    emulated_gemm_entrywise, emulated_gemm_rows, mul_add_step, prepare_b_fused, Egemm,
+    EmulationScheme, EngineConfig, EngineRuntime, RuntimeConfig, SplitMatrix, TilingConfig,
 };
 use egemm_fp::SplitKernel;
 use egemm_matrix::Matrix;
@@ -31,7 +31,7 @@ const SCHEMES: [EmulationScheme; 4] = [
 /// Scalar replay of the accumulation contract with an explicit `tk` and
 /// k range: ascending k in `tk` chunks from `k_lo`, scheme terms in
 /// issue order per chunk, one separate binary32 multiply and add per
-/// product. At tk = 8 over the whole reduction this *is*
+/// product ([`mul_add_step`]). At tk = 8 over the whole reduction this *is*
 /// [`emulated_gemm_entrywise`], which is then called instead.
 #[allow(clippy::too_many_arguments)]
 fn oracle(
@@ -56,7 +56,7 @@ fn oracle(
             let ap = sa.plane(a_lo);
             let bp = sb.plane(b_lo);
             for kk in kt..kt + chunk {
-                acc += ap[i * k + kk] * bp[kk * n + j];
+                acc = mul_add_step(acc, ap[i * k + kk], bp[kk * n + j]);
             }
         }
         kt += chunk;
@@ -501,6 +501,137 @@ fn gemm_with_c_accumulation_regression() {
     }
 }
 
+/// Overwrite every `stride`-th element of `m` (offset by `seed`) with
+/// the next entry of `vals`, cycling.
+fn sprinkle(m: &mut Matrix<f32>, vals: &[f32], stride: usize, seed: usize) {
+    for (i, x) in m.as_mut_slice().iter_mut().enumerate() {
+        if (i + seed).is_multiple_of(stride) {
+            *x = vals[(i / stride) % vals.len()];
+        }
+    }
+}
+
+/// NaN payloads no arithmetic produces, so each one in an output names
+/// the operand it came from.
+const A_NANS: [u32; 2] = [0x7fc0_a000, 0xffe0_4000];
+const B_NANS: [u32; 2] = [0x7fd0_0000, 0xff90_2000]; // the second signals
+const C_NANS: [u32; 2] = [0x7fc0_0bcd, 0xffc1_2345];
+
+/// Entries past the binary16 range, infinities and subnormals: each
+/// takes the FMA path when no NaN is around.
+const WILD: [f32; 6] = [
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    70000.0,
+    -3e38,
+    1e-40,
+    -3e-6,
+];
+
+/// `engine::gemm` under a small blocking and `Egemm::gemm_with_c` under
+/// the default one, at pools 1 and 4 with the JIT on, bit-equal
+/// `emulated_gemm_entrywise` at every element.
+fn check_against_oracle(a: &Matrix<f32>, b: &Matrix<f32>, c: &Matrix<f32>, what: &str) {
+    for scheme in SCHEMES {
+        let sa = SplitMatrix::split(a, scheme.split_scheme());
+        let sb = SplitMatrix::split(b, scheme.split_scheme());
+        for threads in [1usize, 4] {
+            let cfg = EngineConfig {
+                mc: 8,
+                nc: 32,
+                kc: 16,
+                threads,
+                jit: true,
+            };
+            let direct = run(Plan {
+                c: Some(c),
+                cfg,
+                ..Plan::new(a, b, scheme)
+            });
+            let eg = egemm_on(
+                scheme,
+                RuntimeConfig {
+                    threads,
+                    ..Default::default()
+                },
+            );
+            let public = eg.gemm_with_c(a, b, Some(c)).d;
+            for i in 0..a.rows() {
+                for j in 0..b.cols() {
+                    let want = emulated_gemm_entrywise(&sa, &sb, Some(c), scheme, i, j).to_bits();
+                    for (path, d) in [("engine::gemm", &direct), ("Egemm::gemm_with_c", &public)] {
+                        assert_eq!(
+                            d.get(i, j).to_bits(),
+                            want,
+                            "{what}: {path} {scheme:?} threads={threads} ({i}, {j})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// NaNs with distinct payloads in A, B and C next to infinities and
+/// out-of-range values: NaN-bearing panels fall back to the mul+add
+/// kernel, so every payload lands where the oracle puts it.
+#[test]
+fn non_finite_operands_bit_identical() {
+    let (m, k, n) = (13usize, 40usize, 37usize);
+    let mut a = Matrix::<f32>::random_uniform(m, k, 71);
+    let mut b = Matrix::<f32>::random_uniform(k, n, 72);
+    let mut c = Matrix::<f32>::random_uniform(m, n, 73);
+    sprinkle(&mut a, &WILD, 7, 1);
+    sprinkle(&mut b, &WILD, 11, 2);
+    let nan = f32::from_bits;
+    // Under the small blocking (kc = 16, nc = 32) A's first NaN sits in
+    // k panel 0 and B's NaNs in panel 1, so each flag alone has to keep
+    // its panel off the FMA kernels.
+    a.set(2, 3, nan(A_NANS[0]));
+    a.set(9, 30, nan(A_NANS[1]));
+    b.set(20, 20, nan(B_NANS[0]));
+    b.set(30, 5, nan(B_NANS[1]));
+    b.set(17, 33, nan(B_NANS[0]));
+    c.set(0, 0, nan(C_NANS[0]));
+    c.set(12, 36, nan(C_NANS[1]));
+    // The cases an unconditional FMA gets wrong. C(2, 7) is NaN, A's row
+    // 2 holds a NaN and B's column 7 none, so the mul+add contract keeps
+    // C's payload where FMA would return A's. C(4, 20) mirrors it for
+    // B: B's column 20 holds a NaN and A's row 4 none.
+    c.set(2, 7, nan(C_NANS[1]));
+    c.set(4, 20, nan(C_NANS[0]));
+    assert!((0..k).all(|kk| !b.get(kk, 7).is_nan() && !a.get(4, kk).is_nan()));
+    for scheme in SCHEMES {
+        let sa = SplitMatrix::split(&a, scheme.split_scheme());
+        let sb = SplitMatrix::split(&b, scheme.split_scheme());
+        for (i, j, payload) in [(2, 7, C_NANS[1]), (4, 20, C_NANS[0])] {
+            let want = emulated_gemm_entrywise(&sa, &sb, Some(&c), scheme, i, j);
+            assert_eq!(want.to_bits(), payload, "{scheme:?}: C's payload survives");
+        }
+    }
+    check_against_oracle(&a, &b, &c, "NaN-bearing");
+    // Without A's NaNs, only B's flag (the prepared operand's, on the
+    // `Egemm` path) keeps C's NaNs from meeting a fused NaN product.
+    a.set(2, 3, 1.0);
+    a.set(9, 30, -1.0);
+    check_against_oracle(&a, &b, &c, "B-only NaN");
+}
+
+/// Infinities, out-of-range values and subnormals with no NaN operand
+/// run the FMA kernels, and C's NaNs still come back as C's: FMA only
+/// differs when a multiplicand is NaN.
+#[test]
+fn non_finite_nan_free_operands_bit_identical() {
+    let (m, k, n) = (13usize, 40usize, 37usize);
+    let mut a = Matrix::<f32>::random_uniform(m, k, 81);
+    let mut b = Matrix::<f32>::random_uniform(k, n, 82);
+    let mut c = Matrix::<f32>::random_uniform(m, n, 83);
+    sprinkle(&mut a, &WILD, 5, 3);
+    sprinkle(&mut b, &WILD, 9, 4);
+    sprinkle(&mut c, &C_NANS.map(f32::from_bits), 17, 5);
+    check_against_oracle(&a, &b, &c, "NaN-free");
+}
+
 #[test]
 fn row_sampling_validates_upfront() {
     let scheme = EmulationScheme::EgemmTc;
@@ -527,7 +658,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// JIT-dispatched execution bit-equals the interpreted microkernel
-    /// across schemes, pool sizes, split-K offsets, and ragged shapes.
+    /// across schemes, pool sizes, split-K offsets, ragged shapes and
+    /// value landscapes: uniform, subnormal, past the binary16 range,
+    /// and infinite entries, all NaN-free and so all on the FMA path.
     /// On hosts without a JIT backend both configs run interpreted and
     /// the property holds trivially; everywhere else this is the
     /// end-to-end check that compiled kernels are drop-in replacements.
@@ -541,11 +674,22 @@ proptest! {
         pool_idx in 0usize..2,
         cut_num in 0usize..8,
         seed in 0u64..1000,
+        landscape in 0usize..4,
     ) {
         let scheme = SCHEMES[scheme_idx];
         let tk = [4usize, 8, 16][tk_idx];
         let threads = [1usize, 4][pool_idx];
-        let ops = operands(m, k, n, scheme, seed);
+        let mut ops = operands(m, k, n, scheme, seed);
+        let wild: &[f32] = match landscape {
+            0 => &[],
+            1 => &[1e-40, -3e-8, 6e-5, -2e-42],
+            2 => &[7e4, -65520.0, 3e38, -1e10],
+            _ => &[f32::INFINITY, f32::NEG_INFINITY],
+        };
+        if !wild.is_empty() {
+            sprinkle(&mut ops.a, wild, 3, seed as usize);
+            sprinkle(&mut ops.b, wild, 4, seed as usize + 1);
+        }
         let base = EngineConfig { mc: 8, nc: 32, kc: 16, threads, ..Default::default() };
         let with_jit = |jit, k_range| Plan {
             k_range,
@@ -578,31 +722,35 @@ fn jit_edge_masks_bit_identical() {
     // Deterministic sweep over every column residue a tile can end
     // with: 1..=16 covers all single-strip (AVX) edge masks, 17..=32
     // all dual-strip (AVX-512) masks, 33 a dual-strip pair plus a lone
-    // ragged strip. Row residues cycle 1..=4 alongside; k = 20 with
-    // kc = 16 gives one looped panel (two tk=8 chunks) and one
-    // ragged-only panel (4 deep).
+    // ragged strip. Each n runs one, two and three row blocks (the
+    // third a lone last MR block beside the 16-accumulator two-block
+    // tile) with the row residue cycling 1..=4; k = 20 with kc = 16
+    // gives one looped panel (two tk=8 chunks) and one ragged-only
+    // panel (4 deep).
     let scheme = EmulationScheme::MarkidisFourTerm; // most term planes
     for n in 1usize..=33 {
-        let m = 4 + (n % 4) + 1; // rows residue 1..=4 across the sweep
-        let ops = operands(m, 20, n, scheme, n as u64);
-        let base = EngineConfig {
-            mc: 8,
-            nc: 64,
-            kc: 16,
-            threads: 1,
-            ..Default::default()
-        };
-        let with_jit = |jit| {
-            run(Plan {
-                cfg: EngineConfig { jit, ..base },
-                ..Plan::new(&ops.a, &ops.b, scheme)
-            })
-        };
-        assert_eq!(
-            bits(&with_jit(true)),
-            bits(&with_jit(false)),
-            "edge sweep n={n} m={m}"
-        );
+        for blocks in 0..3 {
+            let m = 4 * blocks + (n % 4) + 1;
+            let ops = operands(m, 20, n, scheme, n as u64);
+            let base = EngineConfig {
+                mc: 16,
+                nc: 64,
+                kc: 16,
+                threads: 1,
+                ..Default::default()
+            };
+            let with_jit = |jit| {
+                run(Plan {
+                    cfg: EngineConfig { jit, ..base },
+                    ..Plan::new(&ops.a, &ops.b, scheme)
+                })
+            };
+            assert_eq!(
+                bits(&with_jit(true)),
+                bits(&with_jit(false)),
+                "edge sweep n={n} m={m}"
+            );
+        }
     }
 }
 
