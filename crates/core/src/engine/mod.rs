@@ -307,7 +307,7 @@ pub fn prepare_b_fused(
     cfg: EngineConfig,
 ) -> PreparedOperand {
     assert!(tk > 0, "tk must be positive");
-    rt.prepare_b_fused(src, scheme, clamp_kc(cfg.kc, tk))
+    rt.prepare_b_fused(src, scheme, clamp_kc(cfg.kc, tk), cfg.threads)
 }
 
 /// `gemm` of raw A against a prepared B, under the argument list the

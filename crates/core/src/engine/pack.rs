@@ -27,12 +27,16 @@
 //! part: the lo part is the residual `x - hi`, forced to zero when `hi`
 //! is not finite. So one scan of the packed hi plane answers for both.
 
-use egemm_fp::{split_planes_f32, split_planes_f32_strided, SplitKernel, SplitScheme};
+use super::cache::lock_unpoisoned;
+use super::runtime::Par;
+use egemm_fp::{split_a_block, split_strips, SplitKernel, SplitScheme, A_BLOCK_ROWS};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Microkernel output rows (register tile height).
-pub(crate) const MR: usize = 4;
+/// Microkernel output rows (register tile height): the rows of one
+/// [`split_a_block`] register block.
+pub(crate) const MR: usize = A_BLOCK_ROWS;
 /// Microkernel output columns (register tile width). 4 x 16 keeps eight
 /// independent 8-lane accumulator vectors live — enough parallel chains
 /// to cover FP add latency on two issue ports — while leaving headroom
@@ -54,12 +58,12 @@ pub(crate) fn has_nan(hi: &[f32]) -> bool {
 /// indices of the `mcb` output rows) and k panel `[p0, p0 + kcb)`: read
 /// raw f32 rows (row stride `k`) and emit both packed planes of the
 /// A-block layout directly, with no split matrix materialized in
-/// between. Each real row is split straight into its column-major
-/// sliver lane (stride `MR`); padded rows are zeroed in both planes.
-/// The split is elementwise, so each packed element holds exactly the
-/// bits the scalar split of its source element produces. `hi` and `lo`
-/// must hold `ceil(mcb/MR) * kcb * MR` elements. Returns whether the
-/// packed block holds a NaN.
+/// between. Each register block of up to `MR` rows is one
+/// [`split_a_block`] call, which writes its column-major sliver (padded
+/// rows zero) straight from the source rows. The split is elementwise,
+/// so each packed element holds exactly the bits the scalar split of
+/// its source element produces. `hi` and `lo` must hold `ceil(mcb/MR) *
+/// kcb * MR` elements. Returns whether the packed block holds a NaN.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_a_fused(
     src: &[f32],
@@ -72,44 +76,30 @@ pub(crate) fn pack_a_fused(
     hi: &mut [f32],
     lo: &mut [f32],
 ) -> bool {
-    let mcb = rows_idx.len();
-    let row_blocks = mcb.div_ceil(MR);
-    for rb in 0..row_blocks {
-        let hb = &mut hi[rb * kcb * MR..(rb + 1) * kcb * MR];
-        let lb = &mut lo[rb * kcb * MR..(rb + 1) * kcb * MR];
-        for r in 0..MR {
-            let i = rb * MR + r;
-            if i < mcb {
-                let arow = &src[rows_idx[i] * k + p0..rows_idx[i] * k + p0 + kcb];
-                if kcb > 0 {
-                    let end = (kcb - 1) * MR + r + 1;
-                    split_planes_f32_strided(
-                        kernel,
-                        scheme,
-                        arow,
-                        &mut hb[r..end],
-                        &mut lb[r..end],
-                        MR,
-                    );
-                }
-            } else {
-                for kk in 0..kcb {
-                    hb[kk * MR + r] = 0.0;
-                    lb[kk * MR + r] = 0.0;
-                }
-            }
-        }
+    if kcb == 0 {
+        return false;
     }
-    has_nan(&hi[..row_blocks * kcb * MR])
+    let len = rows_idx.len().div_ceil(MR) * kcb * MR;
+    for ((idx, hb), lb) in rows_idx
+        .chunks(MR)
+        .zip(hi[..len].chunks_mut(kcb * MR))
+        .zip(lo[..len].chunks_mut(kcb * MR))
+    {
+        let mut rows = [&src[..0]; MR];
+        for (row, &i) in rows.iter_mut().zip(idx) {
+            *row = &src[i * k + p0..i * k + p0 + kcb];
+        }
+        split_a_block(kernel, scheme, &rows[..idx.len()], hb, lb);
+    }
+    has_nan(&hi[..len])
 }
 
 /// Fused split+pack of B for the column range `[j0, j0 + ncb)` and k
 /// panel `[p0, p0 + kcb)`: read raw f32 rows (row stride `n`) and emit
-/// both packed planes of the B-panel layout directly. Each row segment
-/// is split contiguously into its strip sliver; padding columns are
-/// zeroed in both planes. `hi` and `lo` must hold
-/// `ceil(ncb/NR) * kcb * NR` elements. Returns whether the packed panel
-/// holds a NaN.
+/// both packed planes of the B-panel layout directly, in one
+/// [`split_strips`] call (padding columns zero). `hi` and `lo` must
+/// hold `ceil(ncb/NR) * kcb * NR` elements. Returns whether the packed
+/// panel holds a NaN.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pack_b_fused(
     src: &[f32],
@@ -123,26 +113,13 @@ pub(crate) fn pack_b_fused(
     hi: &mut [f32],
     lo: &mut [f32],
 ) -> bool {
-    let strips = ncb.div_ceil(NR);
-    for sb in 0..strips {
-        let hs = &mut hi[sb * kcb * NR..(sb + 1) * kcb * NR];
-        let ls = &mut lo[sb * kcb * NR..(sb + 1) * kcb * NR];
-        let jbase = j0 + sb * NR;
-        let cols = NR.min(ncb - sb * NR);
-        for kk in 0..kcb {
-            let brow = &src[(p0 + kk) * n + jbase..(p0 + kk) * n + jbase + cols];
-            let hd = &mut hs[kk * NR..kk * NR + NR];
-            let ld = &mut ls[kk * NR..kk * NR + NR];
-            split_planes_f32(kernel, scheme, brow, &mut hd[..cols], &mut ld[..cols]);
-            for d in hd[cols..].iter_mut() {
-                *d = 0.0;
-            }
-            for d in ld[cols..].iter_mut() {
-                *d = 0.0;
-            }
-        }
+    let len = ncb.div_ceil(NR) * kcb * NR;
+    if len == 0 {
+        return false;
     }
-    has_nan(&hi[..strips * kcb * NR])
+    let (hi, lo) = (&mut hi[..len], &mut lo[..len]);
+    split_strips(kernel, scheme, &src[p0 * n + j0..], n, ncb, NR, hi, lo);
+    has_nan(hi)
 }
 
 /// Publication states of one [`PanelStore`] slot.
@@ -275,6 +252,22 @@ impl PanelStore {
     }
 }
 
+/// Target elements per plane of one [`PackedB::pack_fused`] work unit:
+/// 256 KiB of packed output per plane, enough to amortize a claim.
+pub(crate) const PACK_UNIT_ELEMS: usize = 1 << 16;
+
+/// One (k panel, strip group) unit of a whole-operand pack: the
+/// columns `[j0, j0 + ncb)` of panel `[pc, pc + kcb)`, and the disjoint
+/// ranges of both planes it fills, taken by the participant that claims
+/// it.
+struct PackUnit<'a> {
+    pc: usize,
+    kcb: usize,
+    j0: usize,
+    ncb: usize,
+    planes: Mutex<Option<(&'a mut [f32], &'a mut [f32])>>,
+}
+
 /// Both planes of a whole B operand packed once for reuse across calls.
 ///
 /// Layout: `k.div_ceil(kc)` panels, each holding `n.div_ceil(NR)` strips
@@ -306,11 +299,19 @@ impl PackedB {
     /// Split and pack both planes of a raw operand with panel depth `kc`
     /// (>= 1, already clamped to the chunk grid by the caller), never
     /// materializing the split planes.
+    ///
+    /// The work is cut into units of one k panel by a group of strips
+    /// holding about [`PACK_UNIT_ELEMS`] elements; each unit writes its
+    /// own disjoint range of both planes, so the participants `run`
+    /// lends to the job claim units in any order without changing a
+    /// byte. The per-unit NaN flags are OR-ed. An operand of a single
+    /// unit is packed on the calling thread.
     pub(crate) fn pack_fused(
         src: &egemm_matrix::Matrix<f32>,
         scheme: SplitScheme,
         kernel: SplitKernel,
         kc: usize,
+        run: &Par<'_>,
     ) -> PackedB {
         assert!(kc >= 1, "panel depth must be positive");
         let k = src.rows();
@@ -320,26 +321,46 @@ impl PackedB {
         let panel_stride = strips * kc * NR;
         let mut hi = vec![0f32; panels * panel_stride];
         let mut lo = vec![0f32; panels * panel_stride];
-        let mut has_nan = false;
-        let mut pc = 0usize;
-        while pc < k {
-            let kcb = kc.min(k - pc);
-            let base = (pc / kc) * panel_stride;
+        let mut units = Vec::new();
+        for (p, (hp, lp)) in hi
+            .chunks_mut(panel_stride.max(1))
+            .zip(lo.chunks_mut(panel_stride.max(1)))
+            .enumerate()
+        {
+            let (pc, kcb) = (p * kc, kc.min(k - p * kc));
+            let group = (PACK_UNIT_ELEMS / (kcb * NR)).max(1) * kcb * NR;
             let len = strips * kcb * NR;
-            has_nan |= pack_b_fused(
-                src.as_slice(),
-                n,
-                0,
-                n,
-                pc,
-                kcb,
-                scheme,
-                kernel,
-                &mut hi[base..base + len],
-                &mut lo[base..base + len],
-            );
-            pc += kcb;
+            for (q, (hu, lu)) in hp[..len]
+                .chunks_mut(group)
+                .zip(lp[..len].chunks_mut(group))
+                .enumerate()
+            {
+                let j0 = q * group / kcb;
+                units.push(PackUnit {
+                    pc,
+                    kcb,
+                    j0,
+                    ncb: (group / kcb).min(n - j0),
+                    planes: Mutex::new(Some((hu, lu))),
+                });
+            }
         }
+        let next = AtomicUsize::new(0);
+        let has_nan = AtomicBool::new(false);
+        let job = || {
+            while let Some(u) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let (h, l) = lock_unpoisoned(&u.planes)
+                    .take()
+                    .expect("each unit is claimed once");
+                let src = src.as_slice();
+                if pack_b_fused(src, n, u.j0, u.ncb, u.pc, u.kcb, scheme, kernel, h, l) {
+                    has_nan.store(true, Ordering::Relaxed);
+                }
+            }
+        };
+        run(units.len(), &job);
+        let has_nan = has_nan.into_inner();
+        drop(units);
         PackedB {
             n,
             k,
@@ -410,6 +431,11 @@ mod tests {
 
     const SCHEMES: [SplitScheme; 2] = [SplitScheme::Round, SplitScheme::Truncate];
     const KERNELS: [SplitKernel; 2] = [SplitKernel::Scalar, SplitKernel::Auto];
+
+    /// A [`Par`] runner with the caller as the only participant.
+    fn serial(_: usize, job: &(dyn Fn() + Sync)) {
+        job()
+    }
 
     /// The scalar split of `x`, hi or lo part, widened to binary32.
     fn part(scheme: SplitScheme, x: f32, lo_plane: bool) -> f32 {
@@ -575,7 +601,7 @@ mod tests {
         let strips = ncb.div_ceil(NR);
         for scheme in SCHEMES {
             for kernel in KERNELS {
-                let packed = PackedB::pack_fused(&src, scheme, kernel, kc);
+                let packed = PackedB::pack_fused(&src, scheme, kernel, kc, &serial);
                 assert_eq!((packed.k(), packed.n(), packed.kc()), (k, n, kc));
                 let mut pc = 0usize;
                 while pc < k {
@@ -634,7 +660,7 @@ mod tests {
         let src = Matrix::<f32>::random_uniform(k, n, 42);
         for scheme in SCHEMES {
             for kernel in KERNELS {
-                let packed = PackedB::pack_fused(&src, scheme, kernel, kc);
+                let packed = PackedB::pack_fused(&src, scheme, kernel, kc, &serial);
                 assert_eq!(
                     (packed.k(), packed.n(), packed.kc(), packed.bytes()),
                     (k, n, kc, 2 * 4 * k.div_ceil(kc) * kc * n.div_ceil(NR) * NR)
@@ -723,7 +749,7 @@ mod tests {
             for kernel in KERNELS {
                 let mut hi = [0f32; 9];
                 let mut lo = [0f32; 9];
-                split_planes_f32(kernel, scheme, &specials, &mut hi, &mut lo);
+                split_strips(kernel, scheme, &specials, 9, 9, 9, &mut hi, &mut lo);
                 for (i, (&h, &l)) in hi.iter().zip(&lo).enumerate() {
                     assert_eq!(h.is_nan(), specials[i].is_nan(), "{scheme:?} {i}");
                     assert!(
@@ -779,15 +805,15 @@ mod tests {
         assert!(pack_b(0, 20, 6));
         assert!(!pack_b(0, 13, 6), "column range stops short of the NaN");
         assert!(!pack_b(0, 20, 0), "other k panel");
-        assert!(PackedB::pack_fused(&src, scheme, SplitKernel::Auto, 4).has_nan());
+        assert!(PackedB::pack_fused(&src, scheme, SplitKernel::Auto, 4, &serial).has_nan());
         src.set(6, 13, 1.0);
-        assert!(!PackedB::pack_fused(&src, scheme, SplitKernel::Auto, 4).has_nan());
+        assert!(!PackedB::pack_fused(&src, scheme, SplitKernel::Auto, 4, &serial).has_nan());
     }
 
     #[test]
     fn packed_b_bytes_accounting() {
         let src = Matrix::<f32>::random_uniform(8, 16, 1);
-        let packed = PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, 8);
+        let packed = PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, 8, &serial);
         // 1 panel x 1 strip x 8x16 x 2 planes x 4 bytes.
         assert_eq!(packed.bytes(), 2 * 4 * 8 * 16);
     }

@@ -24,7 +24,7 @@
 //! thread that executes it), and the cache only decides whether
 //! bit-identical preparation work is reused or redone.
 
-use super::cache::{fingerprint, lock_unpoisoned, CacheKey, PanelCache};
+use super::cache::{fingerprint_on, lock_unpoisoned, CacheKey, PanelCache};
 use super::counters::Counters;
 use super::jit;
 use super::pack::PackedB;
@@ -39,15 +39,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock, PoisonError, Tr
 
 pub use super::cache::CacheStats;
 
-/// Cache key of `src` under `scheme`: content fingerprint + shape.
-fn key_of(src: &Matrix<f32>, scheme: SplitScheme) -> CacheKey {
-    CacheKey {
-        fp: fingerprint(src.as_slice()),
-        rows: src.rows(),
-        cols: src.cols(),
-        scheme,
-    }
-}
+/// Runs a job on up to `n` participants — the calling thread plus pool
+/// workers — and returns once every participant has returned; with
+/// `n <= 1` the caller runs it alone, without a dispatch. Jobs claim
+/// their own work items, so the participant count never changes what
+/// they compute.
+pub(crate) type Par<'a> = dyn Fn(usize, &(dyn Fn() + Sync)) + 'a;
 
 /// Wait on a condvar, recovering the guard if another holder panicked
 /// (see [`lock_unpoisoned`] for why the data stays consistent).
@@ -303,19 +300,52 @@ impl EngineRuntime {
         &self.counters
     }
 
+    /// [`content_fingerprint`](crate::engine::content_fingerprint) of
+    /// `data` with its chunks digested on up to `threads` participants
+    /// of this runtime's pool (0 = the runtime's default width). The
+    /// value is the sequential fingerprint's, whatever the width.
+    pub fn fingerprint(&self, data: &[f32], threads: usize) -> (u64, u64) {
+        fingerprint_on(data, &self.par(threads))
+    }
+
+    /// The [`Par`] runner over this runtime's pool, capped at `threads`
+    /// participants (0 = the runtime's default width).
+    pub(crate) fn par(&self, threads: usize) -> impl Fn(usize, &(dyn Fn() + Sync)) + '_ {
+        let cap = if threads > 0 {
+            threads
+        } else {
+            self.default_threads
+        };
+        move |n, job| self.run_parallel(n.min(cap), job)
+    }
+
     /// Pack `src`'s B panels straight from the raw f32 data for
     /// blocking depth `kc` (already clamped to the chunk grid), through
-    /// the cache, never materializing the split planes.
+    /// the cache, never materializing the split planes. The cache-key
+    /// fingerprint and a cache miss's pack both run on up to `threads`
+    /// pool participants (0 = the runtime's default width).
     pub(crate) fn prepare_b_fused(
         &self,
         src: &Matrix<f32>,
         scheme: SplitScheme,
         kc: usize,
+        threads: usize,
     ) -> PreparedOperand {
-        let key = key_of(src, scheme);
+        let t_fp = telemetry::span_start();
+        let key = CacheKey {
+            fp: self.fingerprint(src.as_slice(), threads),
+            rows: src.rows(),
+            cols: src.cols(),
+            scheme,
+        };
+        telemetry::span_end(
+            telemetry::Phase::Fingerprint,
+            t_fp,
+            4 * src.as_slice().len() as u64,
+        );
         let entry = self.cache.entry_for_key(key);
         let packed = self.cache.get_or_pack(key, &entry, kc, || {
-            PackedB::pack_fused(src, scheme, self.split_kernel, kc)
+            PackedB::pack_fused(src, scheme, self.split_kernel, kc, &self.par(threads))
         });
         PreparedOperand { packed, scheme }
     }
@@ -533,6 +563,8 @@ fn worker_loop(state: &(Mutex<PoolState>, Condvar, Condvar)) {
 
 #[cfg(test)]
 mod tests {
+    use super::super::cache::{fingerprint, FP_CHUNK};
+    use super::super::pack::{NR, PACK_UNIT_ELEMS};
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -656,6 +688,121 @@ mod tests {
             counter.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(counter.load(Ordering::SeqCst), 2);
+    }
+
+    fn pools() -> [Arc<EngineRuntime>; 3] {
+        [1, 2, 4].map(|threads| {
+            EngineRuntime::new(RuntimeConfig {
+                threads,
+                ..Default::default()
+            })
+        })
+    }
+
+    #[test]
+    fn fingerprint_independent_of_pool_size() {
+        let data = Matrix::<f32>::random_uniform(1, 3 * FP_CHUNK + 5, 31);
+        let rts = pools();
+        for len in [
+            0,
+            1,
+            15,
+            16,
+            17,
+            FP_CHUNK - 1,
+            FP_CHUNK,
+            FP_CHUNK + 1,
+            3 * FP_CHUNK + 5,
+        ] {
+            let xs = &data.as_slice()[..len];
+            let want = fingerprint(xs);
+            for rt in &rts {
+                for threads in [0, 1, 2, 4] {
+                    assert_eq!(
+                        rt.fingerprint(xs, threads),
+                        want,
+                        "len {len}, pool {}, threads {threads}",
+                        rt.default_threads()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cache_key_is_the_content_fingerprint() {
+        // The serve tier buckets shared-B requests by
+        // `content_fingerprint`; a pool-parallel preparation must file
+        // the operand under exactly that key, so a lookup built from it
+        // hits.
+        let b = Matrix::<f32>::random_uniform(2 * FP_CHUNK / 64 + 3, 64, 33);
+        for rt in pools() {
+            rt.prepare_b_fused(&b, SplitScheme::Round, 8, 0);
+            let key = CacheKey {
+                fp: fingerprint(b.as_slice()),
+                rows: b.rows(),
+                cols: b.cols(),
+                scheme: SplitScheme::Round,
+            };
+            let hits = rt.cache_stats().hits;
+            rt.cache.entry_for_key(key);
+            assert_eq!(
+                rt.cache_stats().hits,
+                hits + 1,
+                "pool {}",
+                rt.default_threads()
+            );
+        }
+    }
+
+    #[test]
+    fn pool_pack_bit_identical_to_serial() {
+        // Ragged n (not an NR multiple) and ragged k (final panel 44
+        // deep; and k < kc), each with several pack units per panel.
+        let serial = |_: usize, job: &(dyn Fn() + Sync)| job();
+        let rts = pools();
+        for (k, n) in [(300usize, 16 * 40 + 7), (200, 16 * 45 + 3)] {
+            let src = Matrix::<f32>::random_uniform(k, n, (k + n) as u64);
+            assert!(256 * n > 2 * PACK_UNIT_ELEMS, "several units per panel");
+            for scheme in [SplitScheme::Round, SplitScheme::Truncate] {
+                let want = PackedB::pack_fused(&src, scheme, SplitKernel::Scalar, 256, &serial);
+                for rt in &rts {
+                    let got = PackedB::pack_fused(&src, scheme, SplitKernel::Auto, 256, &rt.par(0));
+                    let panels = [(0, k.min(256)), (1, k.saturating_sub(256))];
+                    for (panel, kcb) in panels.into_iter().filter(|&(_, kcb)| kcb > 0) {
+                        for lo_plane in [false, true] {
+                            let whole = |p: &PackedB| {
+                                bits(p.sliver_span(lo_plane, panel, kcb, 0, n.div_ceil(NR)))
+                            };
+                            assert_eq!(
+                                whole(&got),
+                                whole(&want),
+                                "{k}x{n} {scheme:?} pool {} lo={lo_plane} panel {panel}",
+                                rt.default_threads()
+                            );
+                        }
+                    }
+                    assert_eq!(got.bytes(), want.bytes());
+                    assert!(!got.has_nan());
+                }
+            }
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn nan_in_last_pack_unit_flags_operand() {
+        let (k, n) = (300usize, 16 * 40 + 7);
+        let mut src = Matrix::<f32>::random_uniform(k, n, 37);
+        src.set(k - 1, n - 1, f32::from_bits(0x7fc0_1234));
+        for rt in pools() {
+            let packed =
+                PackedB::pack_fused(&src, SplitScheme::Round, SplitKernel::Auto, 256, &rt.par(0));
+            assert!(packed.has_nan(), "pool {}", rt.default_threads());
+        }
     }
 
     #[test]

@@ -126,11 +126,14 @@ pub enum Phase {
     /// the interpreted kernel (detail: executable bytes published, 0
     /// when compilation failed).
     JitCompile = 9,
+    /// Content fingerprint of an operand for the prepared-operand cache
+    /// key, its chunks digested on the pool (detail: bytes hashed).
+    Fingerprint = 10,
 }
 
 impl Phase {
     /// Number of phases (array-aggregation bound).
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 11;
 
     /// Every phase, in discriminant order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -144,6 +147,7 @@ impl Phase {
         Phase::Steal,
         Phase::PanelWait,
         Phase::JitCompile,
+        Phase::Fingerprint,
     ];
 
     /// Stable lowercase name used by every exporter.
@@ -159,6 +163,7 @@ impl Phase {
             Phase::Steal => "steal",
             Phase::PanelWait => "panel_wait",
             Phase::JitCompile => "jit_compile",
+            Phase::Fingerprint => "fingerprint",
         }
     }
 

@@ -777,4 +777,22 @@ mod tests {
         assert_ne!(bucket_key(&r1), bucket_key(&r2), "content must separate");
         assert_ne!(bucket_key(&r1), bucket_key(&r3), "scheme must separate");
     }
+
+    #[test]
+    fn bucket_key_is_the_engine_cache_key() {
+        // Requests bucketed together must hit one prepared operand: the
+        // bucket's B fingerprint equals the one the engine's cache keys
+        // on, which it computes on its pool, at every pool size.
+        use egemm::engine::{EngineRuntime, RuntimeConfig};
+        let a = Matrix::<f32>::random_uniform(2, 700, 1);
+        let b = Matrix::<f32>::random_uniform(700, 300, 2);
+        let key = bucket_key(&GemmRequest::gemm(a, b.clone()));
+        for threads in [1, 2, 4] {
+            let rt = EngineRuntime::new(RuntimeConfig {
+                threads,
+                ..Default::default()
+            });
+            assert_eq!(key.b_fp, rt.fingerprint(b.as_slice(), 0), "pool {threads}");
+        }
+    }
 }

@@ -149,9 +149,10 @@ fn main() {
     assert_json_well_formed(&trace);
 
     // Every engine phase must have recorded at least one span over the
-    // three calls: the cold call covers FusedSplitPack, Tile,
-    // CacheLookup, Dispatch, Park and Worker; the raw-B call covers
-    // PanelWait (every panel-store visit after the first packer's).
+    // three calls: the cold call covers Fingerprint, FusedSplitPack,
+    // Tile, CacheLookup, Dispatch, Park and Worker; the raw-B call
+    // covers PanelWait (every panel-store visit after the first
+    // packer's).
     // Split is not an engine phase — only `SplitMatrix::split` on the
     // oracle side records it — so it is exempt. Phases the cold call
     // recorded must also appear by name in its exported trace. JitCompile
@@ -175,6 +176,21 @@ fn main() {
                 phase.name()
             );
         }
+    }
+
+    // Both calls through the operand cache fingerprint B exactly once
+    // for its key — the warm call's hit included — and the raw-B call,
+    // which never consults the cache, not at all.
+    for (call, report, want) in [
+        ("cold", &cold_report, 1),
+        ("warm", &warm_report, 1),
+        ("raw-B", &raw_b_report, 0),
+    ] {
+        assert_eq!(
+            report.phase_count(Phase::Fingerprint),
+            want,
+            "{call} call's fingerprint spans"
+        );
     }
 
     // The fused pipeline's signature: fused_split_pack spans on the

@@ -632,6 +632,20 @@ fn non_finite_nan_free_operands_bit_identical() {
     check_against_oracle(&a, &b, &c, "NaN-free");
 }
 
+/// The kMeans assignment shape: k = 60 leaves every A row a 4-element
+/// SIMD tail (and a 12-element one under the small blocking's kc = 16),
+/// n = 50 a ragged final B strip, and the centroid operand fits one
+/// pack unit. Both split kernels' masked tails, at pools 1 and 4.
+#[test]
+fn kmeans_like_tails_bit_identical() {
+    for (m, seed) in [(37usize, 91u64), (130, 95)] {
+        let a = Matrix::<f32>::random_uniform(m, 60, seed);
+        let b = Matrix::<f32>::random_uniform(60, 50, seed + 1);
+        let c = Matrix::<f32>::random_uniform(m, 50, seed + 2);
+        check_against_oracle(&a, &b, &c, "k = 60, n = 50");
+    }
+}
+
 #[test]
 fn row_sampling_validates_upfront() {
     let scheme = EmulationScheme::EgemmTc;
