@@ -21,16 +21,15 @@ use rayon::prelude::*;
 pub struct BatchedOutput {
     /// Per-problem products, in input order.
     pub d: Vec<Matrix<f32>>,
-    /// Simulated timing of the single batched launch.
-    pub timing: KernelTiming,
     /// Telemetry for the whole batch (prepare + compute phases) —
     /// `Some` only while tracing is on.
     pub report: Option<GemmReport>,
 }
 
 impl Egemm {
-    /// Compute `D_i = A_i · B_i` for every pair in the batch with one
-    /// simulated launch. All problems must share one shape.
+    /// Compute `D_i = A_i · B_i` for every pair in the batch. All
+    /// problems must share one shape; [`Egemm::time_batched`] models
+    /// the batch as one launch.
     ///
     /// # Panics
     /// On an empty batch, length mismatch, or heterogeneous shapes.
@@ -77,11 +76,7 @@ impl Egemm {
             let i = probe::pick(a.len());
             probe::maybe_probe(self.scheme, &a[i], &b[i], None, &d[i]);
         }
-        BatchedOutput {
-            d,
-            timing: self.time_batched(shape, a.len()),
-            report,
-        }
+        BatchedOutput { d, report }
     }
 
     /// Timing of a batched launch: one kernel whose grid is the union of

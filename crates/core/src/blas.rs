@@ -16,8 +16,7 @@
 
 use crate::emulation::emulated_gemm;
 use crate::gemm::Egemm;
-use egemm_matrix::{GemmShape, Matrix};
-use egemm_tcsim::KernelTiming;
+use egemm_matrix::Matrix;
 
 /// Operand transpose selector, mirroring `cublasOperation_t`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -74,8 +73,6 @@ impl Default for GemmCall {
 pub struct BlasOutput {
     /// `alpha * op(A)·op(B) + beta * C`.
     pub d: Matrix<f32>,
-    /// Simulated kernel timing for the underlying emulated GEMM.
-    pub timing: KernelTiming,
 }
 
 /// `true` iff scaling A by `alpha` before splitting is lossless in the
@@ -151,8 +148,7 @@ impl Egemm {
                 Some(s) => Matrix::from_fn(m, n, |i, j| call.alpha * prod.get(i, j) + s.get(i, j)),
             }
         };
-        let timing = self.time(GemmShape::new(m, n, ka));
-        BlasOutput { d, timing }
+        BlasOutput { d }
     }
 }
 

@@ -4,8 +4,12 @@
 //! the O(N²) data split (the paper's CUDA-core side, fused here into the
 //! engine's panel pack), tiled emulated GEMM on the Tensor-Core side
 //! (functional executor, O(N³)), and the timing layer costing the kernel
-//! the SASS generator would emit. [`Egemm::auto`] runs the §6 analytic
-//! model to pick the tiling for the device.
+//! the SASS generator would emit. The timing layer sits beside the
+//! compute path, not on it: a GEMM call never runs the device model, and
+//! modeled time comes only from [`Egemm::time`] (and its batched and
+//! split-K twins), a pure function of the shape and this instance's
+//! device, tiling, scheme and switches. [`Egemm::auto`] runs the §6
+//! analytic model to pick the tiling for the device.
 
 use crate::analytic::{solve_tiling, AnalyticModel};
 use crate::config::TilingConfig;
@@ -41,8 +45,6 @@ pub struct GemmOutput {
     /// The computed `D = A·B (+ C)`, bit-exact per the simulated Tensor
     /// Core semantics.
     pub d: Matrix<f32>,
-    /// Simulated execution time/throughput of the kernel on the device.
-    pub timing: KernelTiming,
     /// Problem shape.
     pub shape: GemmShape,
     /// Telemetry for this call — `Some` only while tracing is on
@@ -201,15 +203,11 @@ impl Egemm {
             format!("gemm_prepared {}x{}x{}", shape.m, shape.n, shape.k),
         );
         Egemm::metrics_end(mwin, shape, 1);
-        GemmOutput {
-            d,
-            timing: self.time(shape),
-            shape,
-            report,
-        }
+        GemmOutput { d, shape, report }
     }
 
-    /// `D = A·B`: split, execute functionally, and cost the kernel.
+    /// `D = A·B`: split and execute functionally. The modeled device
+    /// time of the same shape is [`Egemm::time`].
     pub fn gemm(&self, a: &Matrix<f32>, b: &Matrix<f32>) -> GemmOutput {
         self.gemm_with_c(a, b, None)
     }
@@ -239,17 +237,13 @@ impl Egemm {
         Egemm::metrics_end(mwin, shape, 1);
         // Sampled numerical-health check — reads a, b, c, d only.
         probe::maybe_probe(self.scheme, a, b, c, &d);
-        let timing = self.time(shape);
-        GemmOutput {
-            d,
-            timing,
-            shape,
-            report,
-        }
+        GemmOutput { d, shape, report }
     }
 
-    /// Timing-only path: cost a problem shape on the device without
-    /// computing it (used by the large-size performance sweeps).
+    /// Modeled execution of `shape` on the device: the kernel the SASS
+    /// generator would emit, costed by the timing layer. The only source
+    /// of modeled time — no GEMM call runs it — and independent of
+    /// operand values, so it costs shapes too large to compute.
     pub fn time(&self, shape: GemmShape) -> KernelTiming {
         let desc = build_kernel(&self.spec, &self.config, shape, self.scheme, self.opts);
         kernel_time(&self.spec, &desc)

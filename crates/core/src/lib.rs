@@ -34,7 +34,8 @@
 //! let b = Matrix::<f32>::random_uniform(64, 64, 2);
 //! let out = eg.gemm(&a, &b);
 //! assert_eq!(out.d.rows(), 64);
-//! println!("simulated: {:.2} TFLOPS", out.timing.tflops);
+//! // The device model is separate from the compute path: ask for it.
+//! println!("simulated: {:.2} TFLOPS", eg.time(out.shape).tflops);
 //! ```
 
 pub mod analytic;

@@ -54,8 +54,6 @@ pub struct SplitKOutput {
     pub d: Matrix<f32>,
     /// Slices used.
     pub slices: usize,
-    /// Simulated timing (main kernel + reduction pass).
-    pub timing: KernelTiming,
     /// Telemetry for the call (all slices + reduction) —
     /// `Some` only while tracing is on.
     pub report: Option<GemmReport>,
@@ -115,7 +113,6 @@ impl Egemm {
         SplitKOutput {
             d,
             slices: s,
-            timing: self.time_split_k(shape, s),
             report,
         }
     }

@@ -179,3 +179,106 @@ fn matrix_products_agree_between_extended_backends() {
     assert!(max < 1e-4, "extended backends diverged by {max}");
     assert_ne!(d1, d2, "different grouping must differ in low bits");
 }
+
+/// 64-bit FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// One pinned fit: `(points, dim, clusters, seed, iterations,
+/// inertia bits, FNV-1a of the assignments then the centroid bits)`.
+type Golden = (usize, usize, usize, u64, usize, u64, u64);
+
+/// Fit `gaussian_blobs(n, d, k, 0.15, seed)` through EGEMM-TC and demand
+/// the pinned solution, bit for bit.
+fn assert_golden_fit(&(n, d, k, seed, iterations, inertia_bits, digest): &Golden) {
+    let (data, _, _) = gaussian_blobs(n, d, k, 0.15, seed);
+    let r = KMeans::new(&EgemmTc::auto(DeviceSpec::t4())).fit(&data, k, seed);
+    let got = fnv1a(
+        r.assignments.iter().map(|&a| a as u64).chain(
+            r.centroids
+                .as_slice()
+                .iter()
+                .map(|c| u64::from(c.to_bits())),
+        ),
+    );
+    assert_eq!(
+        (r.iterations, r.inertia.to_bits(), got),
+        (iterations, inertia_bits, digest),
+        "{n}x{d} k={k} seed={seed}: inertia {}",
+        r.inertia
+    );
+}
+
+/// kMeans solutions pinned bit for bit: ragged point counts against the
+/// seeding pass's row blocks, and dimensions and cluster counts that
+/// are no multiple of 8, 16 or 256, so every ragged edge of the
+/// seeding pass, the distance GEMM and the epilogue runs. The constants
+/// were recorded before the seeding pass and the Lloyd epilogue were
+/// vectorized; any change to either that moves one bit fails here.
+#[test]
+fn kmeans_solutions_are_pinned() {
+    const GOLDEN: [Golden; 4] = [
+        (
+            500,
+            12,
+            5,
+            11,
+            3,
+            0x4060_f25e_0880_0000,
+            0x8fac_a373_203b_2c1a,
+        ),
+        (
+            1001,
+            7,
+            9,
+            12,
+            20,
+            0x406d_8197_2840_0000,
+            0x7b38_6b70_17e2_5c06,
+        ),
+        (
+            333,
+            33,
+            3,
+            13,
+            3,
+            0x406e_7b05_ae00_0000,
+            0x101a_f9c5_6fab_a7f1,
+        ),
+        (
+            777,
+            61,
+            13,
+            14,
+            4,
+            0x40a2_5c5d_ec20_0000,
+            0x71f2_58e9_8d91_617e,
+        ),
+    ];
+    GOLDEN.iter().for_each(assert_golden_fit);
+}
+
+/// The benchmark's `kmeans_fit` shape (8192x60, k = 50), pinned the
+/// same way. Opt-in; CI runs it in release mode:
+/// `cargo test --release -p egemm-sci -- --ignored`.
+#[test]
+#[ignore]
+fn kmeans_benchmark_shape_is_pinned() {
+    assert_golden_fit(&(
+        8192,
+        60,
+        50,
+        21,
+        16,
+        0x40ce_a98f_87c0_0000,
+        0x3260_14a2_5904_ab06,
+    ));
+}
